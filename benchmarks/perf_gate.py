@@ -19,15 +19,14 @@ baseline in ``benchmarks/perf_baseline.json``:
   the relative wall-clock overhead against interleaved plain runs
   (``OBS_OVERHEAD_BUDGET``, default 0.02 i.e. 2 %).  Tracing off must
   cost nothing but an ``is not None`` test per instrumented event.
-* **columnar** — the batch execution engine (ISSUE 7): compiled batch
-  kernels (filter, pass-through projection, single-key hash join,
-  grouped aggregate, splitter) micro-benchmarked against their
-  row-at-a-time references on deterministic seeded data, gated on
-  output digests and wall clock; plus E4 and the E6/A3 closure re-run
-  with the batch path switched *off*, hard-gating that the row path
-  produces the identical simulated fingerprint (the batch engine is a
-  host-CPU strategy, never a semantics change) and reporting the
-  batch-vs-row speedup.
+* **columnar** — the batch kernels every operator runs through: the
+  compiled filter, pass-through projection, single-key hash join,
+  grouped aggregate and splitter, micro-benchmarked on deterministic
+  seeded data and gated on output digests and wall clock.  Each runs
+  next to a reference that must give the same output: the interpreted
+  back-end's kernels (filter, project, agg), the general
+  ``hash_join`` (join) and ``reference_bucket`` (split).  The
+  reference walls are reported, not gated.
 * **serving** — the concurrent-session serving layer (ISSUE 8): the
   pinned ``bench_serving.py`` point (100 DBAPI sessions, Zipf mixed
   OLTP/analytics, 8-slot admission, seed 42), gated on wall clock, on a
@@ -103,14 +102,7 @@ from repro.exec.batch import (  # noqa: E402
 )
 from repro.exec.evaluation import Evaluator  # noqa: E402
 from repro.exec.expressions import Comparison, col, lit  # noqa: E402
-from repro.exec.operators import (  # noqa: E402
-    AggSpec,
-    WorkMeter,
-    aggregate_rows,
-    hash_join,
-    project_rows,
-    select_rows,
-)
+from repro.exec.operators import WorkMeter, hash_join  # noqa: E402
 from repro.exec.shuffle import compile_splitter, reference_bucket  # noqa: E402
 from repro.machine.profile import LoopProfiler  # noqa: E402
 from repro.machine.traffic import run_load_point  # noqa: E402
@@ -229,26 +221,12 @@ def measure_network(repeats: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _set_batch_path(db: PrismaDB, flag: bool) -> None:
-    """Flip every evaluator in *db* between batch kernels and row loops.
-
-    The flag is a host-CPU strategy only: simulated charges are closed
-    form either way, so flipping it must not move any fingerprint.
-    """
-    db.gdh.executor.evaluator.batch = flag
-    for ofm in db.gdh.fragment_ofms.values():
-        ofm.evaluator.batch = flag
-
-
-def run_exec_e4(
-    tracer: Tracer | None = None, loops: int = 1, batch: bool = True
-) -> dict:
+def run_exec_e4(tracer: Tracer | None = None, loops: int = 1) -> dict:
     """Fragment-parallel query set over Wisconsin (E4 plus shuffles).
 
     *loops* repeats the query set inside the timed region — the
     fingerprinted baseline always uses 1; the obs overhead suite uses
     more so its timed region is long enough to gate a 2 % budget.
-    ``batch=False`` runs the row-at-a-time engine (columnar suite A/B).
     """
     p = EXEC_E4
     db = PrismaDB(
@@ -257,8 +235,6 @@ def run_exec_e4(
     )
     load_wisconsin(db, "wisc", p["rows"], fragments=p["fragments"], seed=p["seed"])
     db.quiesce()
-    if not batch:
-        _set_batch_path(db, False)
     start = time.perf_counter()
     queries = []
     for _ in range(loops):
@@ -276,7 +252,7 @@ def run_exec_e4(
     return {"wall_s": wall, "fingerprint": {"queries": queries, "busy_total": _busy_total(db)}}
 
 
-def run_exec_closure(batch: bool = True) -> dict:
+def run_exec_closure() -> dict:
     """E6/A3: distributed semi-naive transitive closure, 8 fragments."""
     p = EXEC_CLOSURE
     edges = random_dag(p["vertices"], p["edges"], seed=p["seed"])
@@ -284,8 +260,6 @@ def run_exec_closure(batch: bool = True) -> dict:
     db.gdh.executor.distributed_closure = True
     load_edges(db, "e", edges, fragments=p["fragments"])
     db.quiesce()
-    if not batch:
-        _set_batch_path(db, False)
     start = time.perf_counter()
     result = db.execute("SELECT COUNT(*) FROM CLOSURE(e)")
     wall = time.perf_counter() - start
@@ -750,7 +724,7 @@ def check_obs_gates(measured: dict, wall_gate: bool) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Columnar suite: batch kernels vs row-at-a-time references (ISSUE 7).
+# Columnar suite: batch kernels vs same-output references.
 # ---------------------------------------------------------------------------
 
 #: Deterministic micro-bench workload: wide enough for kernels to
@@ -769,35 +743,33 @@ def _columnar_rows(n: int, seed: int) -> list[tuple]:
 
 
 def _columnar_micro_benches() -> dict:
-    """name -> (batch_thunk, row_thunk) over identical deterministic data.
+    """name -> (kernel_thunk, reference_thunk) over identical deterministic data.
 
-    Both thunks must return the same value; the batch side is what the
-    wall gate and the digest pin run against, the row side exists for
-    the informational speedup and as an in-run correctness oracle.
+    Both thunks must return the same value; the compiled kernel is what
+    the wall gate and the digest pin run against.  The reference is an
+    in-run correctness oracle whose wall is reported for comparison:
+    the interpreted back-end's kernel for filter/project/agg, the
+    general ``hash_join`` for join, ``reference_bucket`` for split.
     """
     p = COLUMNAR_MICRO
     rows = _columnar_rows(p["rows"], p["seed"])
     right = _columnar_rows(p["right_rows"], p["seed"] + 1)
-    meter = WorkMeter()  # row references need one; output never depends on it
-    evaluator = Evaluator()
+    compiled, interpreted = Evaluator(), Evaluator(compiled=False)
 
     pred_expr = Comparison("<", col(1), lit(COLUMNAR_MICRO["keys"] // 2))
     pred_kernel = compile_batch_predicate(pred_expr)
-    pred_fn, _ = evaluator.predicate(pred_expr)
+    pred_reference, _ = interpreted.batch_predicate(pred_expr)
 
     proj_exprs = [col(2), col(0)]
     proj_kernel = compile_batch_projector(proj_exprs)
-    proj_fn, _ = evaluator.projector(proj_exprs)
+    proj_reference, _ = interpreted.batch_projector(proj_exprs)
 
     join_kernel = compile_join_kernel((1,), (1,))
+    join_key = compiled.key((1,))
 
-    aggregates = [("count", None), ("sum", col(0)), ("min", col(3))]
+    aggregates = [("count", None, False), ("sum", col(0), False), ("min", col(3), False)]
     agg_kernel = compile_agg_kernel((2,), aggregates)
-    agg_specs = [
-        AggSpec("count", None),
-        AggSpec("sum", lambda r: r[0]),
-        AggSpec("min", lambda r: r[3]),
-    ]
+    agg_reference = interpreted.agg_kernel((2,), aggregates)
 
     splitter = compile_splitter((0,), 8)
 
@@ -808,47 +780,33 @@ def _columnar_micro_benches() -> dict:
         return buckets
 
     return {
-        "filter": (
-            lambda: pred_kernel(rows),
-            lambda: select_rows(rows, pred_fn, meter),
-        ),
-        "project": (
-            lambda: proj_kernel(rows),
-            lambda: project_rows(rows, proj_fn, meter),
-        ),
+        "filter": (lambda: pred_kernel(rows), lambda: pred_reference(rows)),
+        "project": (lambda: proj_kernel(rows), lambda: proj_reference(rows)),
         "join": (
             lambda: join_kernel(rows, right),
-            lambda: hash_join(
-                rows, right, lambda r: (r[1],), lambda r: (r[1],), meter
-            ),
+            lambda: hash_join(rows, right, join_key, join_key, WorkMeter()),
         ),
-        "agg": (
-            lambda: agg_kernel(rows),
-            lambda: aggregate_rows(rows, lambda r: (r[2],), agg_specs, meter),
-        ),
-        "split": (
-            lambda: splitter(rows),
-            split_by_reference,
-        ),
+        "agg": (lambda: agg_kernel(rows), lambda: agg_reference(rows)),
+        "split": (lambda: splitter(rows), split_by_reference),
     }
 
 
 def measure_columnar(repeats: int) -> dict:
-    measured: dict = {"micro": {}, "rerun": {}}
-    for name, (batch_fn, row_fn) in _columnar_micro_benches().items():
+    measured: dict = {"micro": {}}
+    for name, (kernel_fn, reference_fn) in _columnar_micro_benches().items():
         loops = COLUMNAR_LOOPS[name]
-        batch_walls, row_walls = [], []
+        kernel_walls, reference_walls = [], []
         outputs = []
         for _ in range(repeats):
             start = time.perf_counter()
             for _ in range(loops):
-                out = batch_fn()
-            batch_walls.append(time.perf_counter() - start)
+                out = kernel_fn()
+            kernel_walls.append(time.perf_counter() - start)
             outputs.append(out)
             start = time.perf_counter()
             for _ in range(loops):
-                ref = row_fn()
-            row_walls.append(time.perf_counter() - start)
+                ref = reference_fn()
+            reference_walls.append(time.perf_counter() - start)
         for out in outputs[1:]:
             if out != outputs[0]:
                 raise AssertionError(
@@ -857,38 +815,17 @@ def measure_columnar(repeats: int) -> dict:
                 )
         if ref != outputs[0]:
             raise AssertionError(
-                f"columnar micro-bench {name!r}: batch kernel and row"
-                " reference disagree — the batch engine changed results"
+                f"columnar micro-bench {name!r}: compiled kernel and"
+                " reference disagree — the kernel changed results"
             )
-        wall, row_wall = min(batch_walls), min(row_walls)
+        wall, reference_wall = min(kernel_walls), min(reference_walls)
         measured["micro"][name] = {
             "loops": loops,
             "wall_s": wall,
-            "wall_s_all": [round(w, 4) for w in batch_walls],
-            "row_wall_s": round(row_wall, 4),
-            "speedup_vs_row": round(row_wall / wall, 2) if wall > 0 else 0.0,
+            "wall_s_all": [round(w, 4) for w in kernel_walls],
+            "reference_wall_s": round(reference_wall, 4),
+            "speedup_vs_reference": round(reference_wall / wall, 2) if wall > 0 else 0.0,
             "digest": _digest(outputs[0]),
-        }
-    # Whole-pipeline A/B: same database, batch path flipped off.  The
-    # simulated fingerprint (result digests, response times, messages,
-    # bytes, busy totals) must be IDENTICAL either way.
-    for name, bench in (("e4", run_exec_e4), ("closure", run_exec_closure)):
-        batch_runs = [bench() for _ in range(repeats)]
-        row_runs = [bench(batch=False) for _ in range(repeats)]
-        for run in batch_runs + row_runs:
-            if run["fingerprint"] != batch_runs[0]["fingerprint"]:
-                raise AssertionError(
-                    f"columnar A/B drift on {name!r}: batch and row paths"
-                    " must produce identical simulated fingerprints — got"
-                    f" {run['fingerprint']} vs {batch_runs[0]['fingerprint']}"
-                )
-        batch_wall = min(run["wall_s"] for run in batch_runs)
-        row_wall = min(run["wall_s"] for run in row_runs)
-        measured["rerun"][name] = {
-            "batch_wall_s": round(batch_wall, 4),
-            "row_wall_s": round(row_wall, 4),
-            "speedup_vs_row": round(row_wall / batch_wall, 2),
-            "fingerprints_identical": True,
         }
     return measured
 
@@ -919,15 +856,6 @@ def check_columnar_gates(
                 f" (+{(wall / base_wall - 1) * 100:.1f}%,"
                 f" limit {threshold * 100:.0f}%)"
             )
-    # The batch path exists to be faster; if it falls behind the row
-    # path by more than the wall threshold on the E4 pipeline, the
-    # engine has regressed to worse than what it replaced.
-    e4 = measured["rerun"].get("e4")
-    if wall_gate and e4 and e4["batch_wall_s"] > e4["row_wall_s"] * (1 + threshold):
-        failures.append(
-            f"columnar batch path slower than row path on e4:"
-            f" {e4['batch_wall_s']:.3f}s batch vs {e4['row_wall_s']:.3f}s row"
-        )
     return failures
 
 
@@ -1146,23 +1074,16 @@ def main(argv: list[str] | None = None) -> int:
         report["columnar"] = measured_col
         for name, run in measured_col["micro"].items():
             print(
-                f"perf_gate[columnar/{name}]: batch {run['wall_s'] * 1000:.1f}ms"
-                f"  row {run['row_wall_s'] * 1000:.1f}ms"
-                f"  {run['speedup_vs_row']:.2f}x"
+                f"perf_gate[columnar/{name}]: kernel {run['wall_s'] * 1000:.1f}ms"
+                f"  reference {run['reference_wall_s'] * 1000:.1f}ms"
+                f"  {run['speedup_vs_reference']:.2f}x"
                 f"  ({run['loops']} loops)"
-            )
-        for name, run in measured_col["rerun"].items():
-            print(
-                f"perf_gate[columnar/{name}-ab]: batch {run['batch_wall_s']:.3f}s"
-                f"  row {run['row_wall_s']:.3f}s"
-                f"  {run['speedup_vs_row']:.2f}x"
-                "  (fingerprints identical)"
             )
         if updating:
             new_baseline["columnar"] = {
                 "benchmark": (
-                    "batch kernels over 12k seeded rows (filter/project/"
-                    "join/agg/split) plus E4 and closure batch-vs-row A/B"
+                    "compiled batch kernels over 12k seeded rows (filter/"
+                    "project/join/agg/split) vs same-output references"
                 ),
                 "micro": {
                     name: {

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError
-from repro.exec.batch import ColumnBatch
 from repro.exec.closure import (
     naive_closure,
     seminaive_closure,
@@ -23,12 +22,10 @@ from repro.exec.closure import (
 )
 from repro.exec.evaluation import Evaluator
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     Row,
     WorkMeter,
-    aggregate_rows,
-    aggregate_rows_batch,
+    aggregate_batch,
     difference_rows,
     distinct_rows,
     hash_join,
@@ -36,10 +33,8 @@ from repro.exec.operators import (
     intersect_rows,
     limit_rows,
     nested_loop_join,
-    project_rows,
-    project_rows_batch,
-    select_rows,
-    select_rows_batch,
+    project_batch,
+    select_batch,
     sort_rows,
     top_n_rows,
     union_all_rows,
@@ -149,13 +144,7 @@ class LocalExecutor:
     # -- leaves ------------------------------------------------------------------
 
     def _run_ScanNode(self, plan: ScanNode) -> list[Row]:
-        relation = self._resolve_table(plan.table_name)
-        # Tables may be stored row-major or as ColumnBatches; the plan
-        # boundary converts to the engine's row view (cached, one zip).
-        if isinstance(relation, ColumnBatch):
-            rows = list(relation.rows())
-        else:
-            rows = list(relation)
+        rows = list(self._resolve_table(plan.table_name))
         self.meter.tuples += len(rows)
         return rows
 
@@ -192,39 +181,21 @@ class LocalExecutor:
 
     def _run_SelectNode(self, plan: SelectNode) -> list[Row]:
         rows = self.run(plan.child)
-        if self.evaluator.batch:
-            kernel, weight = self.evaluator.batch_predicate(plan.predicate)
-            return select_rows_batch(rows, kernel, self.meter, eval_weight=weight)
-        predicate, weight = self.evaluator.predicate(plan.predicate)
-        return select_rows(rows, predicate, self.meter, eval_weight=weight)
+        kernel, weight = self.evaluator.batch_predicate(plan.predicate)
+        return select_batch(rows, kernel, self.meter, eval_weight=weight)
 
     def _run_ProjectNode(self, plan: ProjectNode) -> list[Row]:
         rows = self.run(plan.child)
-        if self.evaluator.batch:
-            kernel, weight = self.evaluator.batch_projector(plan.exprs)
-            return project_rows_batch(rows, kernel, self.meter, eval_weight=weight)
-        projector, weight = self.evaluator.projector(plan.exprs)
-        return project_rows(rows, projector, self.meter, eval_weight=weight)
+        kernel, weight = self.evaluator.batch_projector(plan.exprs)
+        return project_batch(rows, kernel, self.meter, eval_weight=weight)
 
     def _run_AggregateNode(self, plan: AggregateNode) -> list[Row]:
         rows = self.run(plan.child)
-        if (
-            self.evaluator.batch
-            and self.evaluator.compiled
-            and not any(a.distinct for a in plan.aggregates)
-        ):
-            kernel = self.evaluator.agg_kernel(
-                plan.group_cols, [(a.func, a.arg) for a in plan.aggregates]
-            )
-            return aggregate_rows_batch(rows, kernel, self.meter)
-        group_key = self.evaluator.key(plan.group_cols) if plan.group_cols else None
-        specs = []
-        for aggregate in plan.aggregates:
-            arg_fn = None
-            if aggregate.arg is not None:
-                arg_fn, _ = self.evaluator.scalar(aggregate.arg)
-            specs.append(AggSpec(aggregate.func, arg_fn, aggregate.distinct))
-        return aggregate_rows(rows, group_key, specs, self.meter)
+        kernel = self.evaluator.agg_kernel(
+            plan.group_cols,
+            [(a.func, a.arg, a.distinct) for a in plan.aggregates],
+        )
+        return aggregate_batch(rows, kernel, self.meter)
 
     def _run_SortNode(self, plan: SortNode) -> list[Row]:
         rows = self.run(plan.child)
@@ -277,13 +248,7 @@ class LocalExecutor:
         right_rows = self.run(plan.right)
         right_width = len(plan.right.schema)
         left_keys, right_keys, residual = plan.equi_keys()
-        if (
-            left_keys
-            and residual is None
-            and plan.kind is JoinKind.INNER
-            and self.evaluator.batch
-            and self.evaluator.compiled
-        ):
+        if left_keys and residual is None and plan.kind is JoinKind.INNER:
             kernel = self.evaluator.join_kernel(left_keys, right_keys)
             return hash_join_batch(left_rows, right_rows, kernel, self.meter)
         if left_keys:

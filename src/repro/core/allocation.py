@@ -8,10 +8,7 @@ default spreads primaries over distinct elements with the most free
 memory — fragments are the unit of parallelism, so spreading them is
 what buys intra-query speedup (E4), while memory-awareness keeps
 16 MByte elements from overflowing — and parks replicas on the
-emptiest elements not already holding a copy.  A topology-aware policy
-additionally prices link distance so replicas land near their primary
-(cheap catch-up traffic) and migration targets land near the reader
-population.  The online rebalancer (:mod:`repro.core.rebalance`) asks
+emptiest elements not already holding a copy.  The online rebalancer (:mod:`repro.core.rebalance`) asks
 the same protocol where split and migrated fragments should go.
 """
 
@@ -169,58 +166,6 @@ class DefaultPlacement(FragmentPlacement):
                 machine.node(n).stats.busy_time_s,
                 machine.node(n).stats.processes_started,
                 -machine.node(n).memory.available,
-                n,
-            ),
-        )
-
-
-class TopologyAwarePlacement(DefaultPlacement):
-    """Replica- and distance-aware placement (opt-in).
-
-    Replicas land close to their primary — catch-up and write fan-out
-    cross few links — while still avoiding elements that already host a
-    copy; migration targets additionally prefer elements close to the
-    GDH, where the query processes that read the fragment originate.
-    """
-
-    def place_replica(
-        self,
-        machine: Machine,
-        primary_node: int,
-        used_nodes: set[int],
-        reserve_node: int | None = 0,
-    ) -> int:
-        candidates = self._replica_candidates(machine, used_nodes, reserve_node)
-        candidates.sort(
-            key=lambda n: (
-                machine.node(n).stats.processes_started,
-                machine.router.hops(primary_node, n),
-                -machine.node(n).memory.available,
-                n,
-            )
-        )
-        return candidates[0]
-
-    def migration_target(
-        self,
-        machine: Machine,
-        exclude: set[int],
-        reserve_node: int | None = 0,
-    ) -> int:
-        candidates = [
-            n
-            for n in self._replica_candidates(machine, set(exclude), reserve_node)
-            if machine.node_is_up(n)
-        ]
-        if not candidates:
-            raise AllocationError("no live processing element to migrate to")
-        anchor = reserve_node if reserve_node is not None else 0
-        return min(
-            candidates,
-            key=lambda n: (
-                machine.node(n).stats.busy_time_s,
-                machine.router.hops(anchor, n),
-                machine.node(n).stats.processes_started,
                 n,
             ),
         )

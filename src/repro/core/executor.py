@@ -719,7 +719,6 @@ class DistributedExecutor:
         # (repro.exec.shuffle); bucket assignment is bit-identical to the
         # interpreted ``_hash_key(row, key_cols) % k``.
         split = self._splitters.splitter(key_cols, k)
-        self._splitters.record_invocation(self.evaluator.batch)
         buckets: list[list] = [[] for _ in range(k)]
         for part in relation.parts:
             outgoing = split(part.rows)

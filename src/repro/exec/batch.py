@@ -1,46 +1,35 @@
-"""Columnar batches and compiled batch-at-a-time kernels.
+"""Batch kernels: every operator runs as one call over a batch of rows.
 
-The paper's generative approach (Section 2.5) compiled *scalar*
-expressions into per-row routines; PR 4 extended it to shuffle
-splitters.  This module takes the last step: whole **operators** are
-compiled into batch kernels — one specialized function per (operator,
-expression-shape) that makes a single pass over a batch of rows with
-the expression code inlined, so the hot loop contains **zero per-row
-Python calls** (no predicate callable, no projector callable, no key
-extractor).  On CPython the per-row call overhead is the dominant cost
-of the old row-at-a-time path, which is exactly the "interpretation
-overhead" argument of the paper transposed to the host interpreter.
+The paper's generative approach (Section 2.5) compiles a query
+expression once instead of interpreting it per tuple.  This module
+applies the idea to whole operators: a kernel is one specialized
+function per (operator, expression shape) that makes a single pass over
+a list of tuples with the expression code inlined, so the hot loop
+makes no per-row Python calls (no predicate callable, no projector
+callable, no key extractor).  On CPython the per-row call overhead is
+the dominant cost of a row-at-a-time loop, which is the paper's
+"interpretation overhead" argument transposed to the host interpreter.
 
-Two data layouts are supported through :class:`ColumnBatch`:
+Rows are tuples, the engine's wire and storage format; a generated
+comprehension like ``[row for row in rows if row[2] > 100]`` runs the
+filter entirely in the interpreter's C loop.
 
-* **row-major** — a list of tuples, the engine's wire/storage format.
-  All compiled kernels consume this view directly: a generated
-  comprehension like ``[row for row in rows if row[2] > 100]`` runs the
-  filter entirely in the interpreter's C loop.
-* **column-major** — one plain Python list per column (``array('q')``
-  backed when a column is all machine ints), with a *selection vector*
-  (list of surviving row indices) as the filter result.  Conversion in
-  either direction is a single ``zip`` and is cached, so passing a
-  batch across a plan boundary costs nothing when the layout already
-  matches.
+Both expression back-ends share these kernel shapes.  Under the
+interpreted back-end (experiment E5's ablation)
+:class:`~repro.exec.evaluation.Evaluator` wraps a per-row tree walk in
+the same ``rows -> rows`` shape, and :func:`compile_agg_kernel` emits a
+call to an :class:`~repro.exec.interpreter.InterpretedProjector` where
+the compiled kernel inlines the argument code.  Join keys are plain
+positional gathers with nothing to interpret, so one join kernel serves
+both back-ends.
 
-Which layout wins is an empirical question; the ``columnar`` perf-gate
-suite measures both.  On CPython the row-major compiled kernels win for
-this engine's mixed-type tuples (building a selection vector and then
-gathering costs two passes where the fused comprehension costs one),
-so the executors use the row view; the columnar path stays available
-for column-sliced projections (zero-copy pass-through) and for
-all-int analytics where ``array`` packing pays.
-
-Simulated-clock charges are **unchanged** by any of this: kernels are a
-host-CPU optimization, and the operators that invoke them charge the
-same closed-form :class:`~repro.exec.operators.WorkMeter` totals as the
-row-at-a-time forms they replace.
+Simulated-clock charges never depend on the kernel: the operators of
+:mod:`repro.exec.operators` that invoke kernels charge closed-form
+:class:`~repro.exec.operators.WorkMeter` totals per batch.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable, Sequence
 from operator import itemgetter
 from typing import Any
@@ -48,128 +37,12 @@ from typing import Any
 from repro.errors import ExecutionError
 from repro.exec.compiler import _Emitter
 from repro.exec.expressions import ColumnRef, Expr
+from repro.exec.interpreter import InterpretedProjector
+from repro.exec.operators import AGGREGATE_FUNCTIONS
 
 Row = tuple
 BatchKernel = Callable[[Sequence[Row]], list]
 JoinBatchKernel = Callable[[Sequence[Row], Sequence[Row]], list]
-
-#: ``array`` typecode for packed integer columns (64-bit signed).
-_INT_TYPECODE = "q"
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-class ColumnBatch:
-    """A batch of rows with cached dual row/column representation.
-
-    Construction from either layout is O(1) (the input list is adopted,
-    not copied); the *other* layout is materialized lazily on first
-    access and cached.  Batches are treated as immutable once built —
-    callers must not mutate adopted lists.
-    """
-
-    __slots__ = ("_rows", "_columns", "_length", "_width")
-
-    def __init__(self, rows, columns, length, width):
-        self._rows = rows
-        self._columns = columns
-        self._length = length
-        self._width = width
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], width: int | None = None) -> "ColumnBatch":
-        rows = rows if isinstance(rows, list) else list(rows)
-        if width is None:
-            width = len(rows[0]) if rows else 0
-        return cls(rows, None, len(rows), width)
-
-    @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence[Any]], length: int | None = None
-    ) -> "ColumnBatch":
-        columns = list(columns)
-        if length is None:
-            length = len(columns[0]) if columns else 0
-        for column in columns:
-            if len(column) != length:
-                raise ExecutionError("ColumnBatch columns have unequal lengths")
-        return cls(None, columns, length, len(columns))
-
-    # -- shape --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def has_rows(self) -> bool:
-        return self._rows is not None
-
-    @property
-    def has_columns(self) -> bool:
-        return self._columns is not None
-
-    # -- layout access ------------------------------------------------------
-
-    def rows(self) -> list[Row]:
-        """The row-major view (materialized once, then cached)."""
-        if self._rows is None:
-            self._rows = list(zip(*self._columns)) if self._columns else []
-        return self._rows
-
-    def columns(self) -> list[Sequence[Any]]:
-        """The column-major view (materialized once, then cached)."""
-        if self._columns is None:
-            if self._rows:
-                self._columns = [list(col) for col in zip(*self._rows)]
-            else:
-                self._columns = [[] for _ in range(self._width)]
-        return self._columns
-
-    def column(self, index: int) -> Sequence[Any]:
-        return self.columns()[index]
-
-    def packed_column(self, index: int) -> Sequence[Any]:
-        """The column, ``array('q')``-packed when it is all machine ints.
-
-        Falls back to the plain list for mixed/overflowing columns
-        (bools are deliberately *not* packed: ``array`` would flatten
-        ``True`` to ``1`` and break exact round-tripping).
-        """
-        column = self.column(index)
-        if not all(
-            type(value) is int and _INT64_MIN <= value <= _INT64_MAX
-            for value in column
-        ):
-            return column
-        return array(_INT_TYPECODE, column)
-
-    # -- batch operations ----------------------------------------------------
-
-    def take(self, selection: Sequence[int]) -> "ColumnBatch":
-        """Gather the rows named by a selection vector (in order)."""
-        if self._rows is not None:
-            rows = self._rows
-            return ColumnBatch.from_rows([rows[i] for i in selection], self._width)
-        picked = [[column[i] for i in selection] for column in self.columns()]
-        return ColumnBatch.from_columns(picked, len(selection))
-
-    def project(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Column slicing: pass-through columns are shared, not copied.
-
-        Zero-copy when the column-major view exists; otherwise a compiled
-        batch projector over the row view is the cheaper route and the
-        caller should use that instead.
-        """
-        columns = self.columns()
-        return ColumnBatch.from_columns(
-            [columns[i] for i in indices], self._length
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +73,6 @@ def compile_batch_predicate(expr: Expr) -> BatchKernel:
         f"    return [row for row in rows if {body}]\n"
     )
     return _build_kernel(source, emitter.env, "_batch_predicate")
-
-
-def compile_selection_vector(expr: Expr) -> Callable[[Sequence[Row]], list[int]]:
-    """``rows -> selection vector`` (indices of surviving rows).
-
-    The opteryx-style columnar filter form: combined with
-    :meth:`ColumnBatch.take` it filters without rebuilding rows.  Kept
-    for the columnar layout and the micro-benchmarks; the fused
-    :func:`compile_batch_predicate` form is what the executors use.
-    """
-    emitter = _Emitter()
-    body = emitter.predicate(expr)
-    source = (
-        "def _selection_vector(rows):\n"
-        f"    return [_i for _i, row in enumerate(rows) if {body}]\n"
-    )
-    return _build_kernel(source, emitter.env, "_selection_vector")
 
 
 def compile_batch_projector(exprs: Sequence[Expr]) -> BatchKernel:
@@ -267,8 +123,8 @@ def compile_join_kernel(
 ) -> JoinBatchKernel:
     """INNER equi-join kernel: build once, probe in one comprehension.
 
-    Semantics are identical to the :func:`~repro.exec.operators.hash_join`
-    INNER fast path: NULL keys on either side never match (the build
+    Semantics are identical to :func:`~repro.exec.operators.hash_join`
+    with ``JoinKind.INNER``: NULL keys on either side never match (the build
     side skips them, so a NULL probe key simply misses), matches emit in
     left-row order with build-insertion order inside a key, and output
     rows are ``left_row + right_row``.  Probing with the raw value (or
@@ -328,27 +184,30 @@ def compile_join_kernel(
     return _build_kernel(source, {}, "_join_kernel")
 
 
-#: Aggregate functions a batch kernel can be generated for (DISTINCT
-#: aggregates keep the row-at-a-time path: per-group seen-sets don't
-#: flatten into slot updates).
-BATCH_AGGREGATES = ("count", "sum", "avg", "min", "max")
-
-
 def compile_agg_kernel(
-    group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
+    group_cols: Sequence[int],
+    aggregates: Sequence[tuple[str, Expr | None, bool]],
+    interpreted: bool = False,
 ) -> BatchKernel:
     """Hash-aggregation kernel over flat accumulator slots.
 
-    *aggregates* is a sequence of ``(func, arg_expr_or_None)``.  The
-    generated loop updates only the slots each aggregate actually needs
-    (SUM keeps one running total, AVG a count and a total, …);
-    accumulation order — and hence float results, NULL handling, and
-    first-occurrence group output order — matches
-    :func:`~repro.exec.operators.aggregate_rows` exactly.
+    *aggregates* is a sequence of ``(func, arg_expr_or_None, distinct)``.
+    The generated loop updates only the slots each aggregate actually
+    needs (SUM keeps one running total, AVG a count and a total, …); a
+    DISTINCT COUNT/SUM/AVG adds a per-group seen-set slot and skips
+    values already in it (MIN/MAX are unchanged by DISTINCT, and
+    ``COUNT(*)`` counts rows either way).  Values are fed in input
+    order, so float results, NULL handling and first-occurrence group
+    output order match a per-row accumulation loop exactly.
+
+    With *interpreted* the argument code is a call to an
+    :class:`~repro.exec.interpreter.InterpretedProjector` (a per-row
+    tree walk) instead of inlined compiled code; everything else about
+    the kernel is shared.
     """
     group_cols = tuple(group_cols)
     if not group_cols and all(
-        func == "count" and arg is None for func, arg in aggregates
+        func == "count" and arg is None for func, arg, _distinct in aggregates
     ):
         # Global COUNT(*) (possibly repeated) is just the batch length —
         # no per-row loop, no codegen.  NULLs don't matter (COUNT(*)
@@ -367,8 +226,8 @@ def compile_agg_kernel(
     updates: list[str] = []  # per-row update lines (loop body, unindented)
     results: list[str] = []  # output value expressions over `state`
 
-    for spec_index, (func, arg) in enumerate(aggregates):
-        if func not in BATCH_AGGREGATES:
+    for spec_index, (func, arg, distinct) in enumerate(aggregates):
+        if func not in AGGREGATE_FUNCTIONS:
             raise ExecutionError(f"no batch kernel for aggregate {func!r}")
         if func == "count" and arg is None:
             slot = len(inits)
@@ -379,29 +238,49 @@ def compile_agg_kernel(
         if arg is None:
             raise ExecutionError(f"{func.upper()} needs an argument")
         value = f"_v{spec_index}"
-        code = emitter.scalar(arg)
+        if interpreted:
+            walker = emitter.bind("interp", InterpretedProjector((arg,)))
+            code = f"{walker}(row)[0]"
+        else:
+            code = emitter.scalar(arg)
         updates.append(f"{value} = {code}")
+        if func in ("min", "max"):
+            # DISTINCT cannot change an extreme, so MIN/MAX ignore it.
+            slot = len(inits)
+            inits.append("None")
+            op = "<" if func == "min" else ">"
+            updates.append(
+                f"if {value} is not None and"
+                f" (state[{slot}] is None or {value} {op} state[{slot}]):"
+            )
+            updates.append(f"    state[{slot}] = {value}")
+            results.append(f"state[{slot}]")
+            continue
+        if distinct:
+            seen = len(inits)
+            inits.append("set()")
+            updates.append(f"if {value} is not None and {value} not in state[{seen}]:")
+            updates.append(f"    state[{seen}].add({value})")
+        else:
+            updates.append(f"if {value} is not None:")
         if func == "count":
             slot = len(inits)
             inits.append("0")
-            updates.append(f"if {value} is not None:")
             updates.append(f"    state[{slot}] += 1")
             results.append(f"state[{slot}]")
         elif func == "sum":
             slot = len(inits)
             inits.append("None")
-            updates.append(f"if {value} is not None:")
             updates.append(f"    _t = state[{slot}]")
             updates.append(
                 f"    state[{slot}] = {value} if _t is None else _t + {value}"
             )
             results.append(f"state[{slot}]")
-        elif func == "avg":
+        else:  # avg
             count_slot = len(inits)
             inits.append("0")
             total_slot = len(inits)
             inits.append("None")
-            updates.append(f"if {value} is not None:")
             updates.append(f"    state[{count_slot}] += 1")
             updates.append(f"    _t = state[{total_slot}]")
             updates.append(
@@ -411,31 +290,13 @@ def compile_agg_kernel(
                 f"(None if state[{count_slot}] == 0"
                 f" else state[{total_slot}] / state[{count_slot}])"
             )
-        elif func == "min":
-            slot = len(inits)
-            inits.append("None")
-            updates.append(
-                f"if {value} is not None and"
-                f" (state[{slot}] is None or {value} < state[{slot}]):"
-            )
-            updates.append(f"    state[{slot}] = {value}")
-            results.append(f"state[{slot}]")
-        else:  # max
-            slot = len(inits)
-            inits.append("None")
-            updates.append(
-                f"if {value} is not None and"
-                f" (state[{slot}] is None or {value} > state[{slot}]):"
-            )
-            updates.append(f"    state[{slot}] = {value}")
-            results.append(f"state[{slot}]")
 
     template = "[" + ", ".join(inits) + "]"
     values = ", ".join(results)
 
     if not group_cols:
         # Global aggregation: one pre-seeded state, one output row even
-        # for empty input (SQL semantics; matches aggregate_rows).
+        # for empty input (SQL semantics).
         lines = [
             "def _agg_kernel(rows):",
             f"    state = {template}",
@@ -472,8 +333,9 @@ def compile_agg_kernel(
 def batchable_projection(exprs: Sequence[Expr]) -> tuple[int, ...] | None:
     """Column indices when every output is a plain column reference.
 
-    Such projections are pure column slices — zero copies on a
-    column-major :class:`ColumnBatch`.
+    Such projections are pure column slices, which
+    :func:`compile_batch_projector` serves with ``itemgetter`` instead
+    of generated code.
     """
     indices = []
     for expr in exprs:

@@ -352,17 +352,24 @@ class ExpressionCompilerCache(SnapshotMixin):
         return fn
 
     def agg_kernel(
-        self, group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
+        self,
+        group_cols: Sequence[int],
+        aggregates: Sequence[tuple[str, Expr | None, bool]],
+        interpreted: bool = False,
     ) -> Callable:
         key = (
             tuple(group_cols),
-            tuple((func, arg.key() if arg is not None else None) for func, arg in aggregates),
+            tuple(
+                (func, arg.key() if arg is not None else None, distinct)
+                for func, arg, distinct in aggregates
+            ),
+            interpreted,
         )
         fn = self._agg_kernels.get(key)
         if fn is None:
             from repro.exec.batch import compile_agg_kernel
 
-            fn = compile_agg_kernel(tuple(group_cols), tuple(aggregates))
+            fn = compile_agg_kernel(tuple(group_cols), tuple(aggregates), interpreted)
             self._agg_kernels[key] = fn
             self.compilations += 1
         else:

@@ -27,24 +27,23 @@ def expression_weight(expr: Expr) -> float:
 
 
 class Evaluator:
-    """Produces row-level and batch-level callables for expressions.
+    """Produces the callables operators run, in one of two back-ends.
 
-    ``compiled`` selects the expression back-end (E5's ablation);
-    ``batch`` selects whether operators may use the whole-batch kernels
-    of :mod:`repro.exec.batch` instead of per-row calls.  Both default
-    on; flipping ``batch`` off restores the row-at-a-time loops for
-    A/B measurement (the ``columnar`` perf-gate suite does exactly
-    that).  Neither switch changes results or simulated charges.
+    ``compiled`` selects the expression back-end (E5's ablation); it is
+    the only switch and never changes results.  Operators run through
+    the batch-shaped forms (``rows -> rows``): compiled kernels inline
+    the expression code, interpreted ones walk the expression tree per
+    row behind the same shape.  The row-level :meth:`predicate` and
+    :meth:`projector` serve the places that test one row at a time
+    (cursors, join residuals, nested-loop conditions).
     """
 
     def __init__(
         self,
         compiled: bool = True,
         cache: ExpressionCompilerCache | None = None,
-        batch: bool = True,
     ):
         self.compiled = compiled
-        self.batch = batch
         self.cache = cache or ExpressionCompilerCache()
 
     def predicate(self, expr: Expr) -> tuple[Callable[[Sequence[Any]], bool], float]:
@@ -62,11 +61,6 @@ class Evaluator:
         if self.compiled:
             return self.cache.projector(exprs), weight
         return InterpretedProjector(exprs), weight * INTERPRETATION_FACTOR
-
-    def scalar(self, expr: Expr) -> tuple[Callable[[Sequence[Any]], Any], float]:
-        """A single-value callable (used for aggregate arguments, keys)."""
-        fn, weight = self.projector((expr,))
-        return (lambda row, _fn=fn: _fn(row)[0]), weight
 
     def key(self, positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
         """A cached key extractor for the given row positions.
@@ -109,16 +103,22 @@ class Evaluator:
         return (lambda rows, _fn=fn: [_fn(row) for row in rows], weight * INTERPRETATION_FACTOR)
 
     def join_kernel(self, left_keys: Sequence[int], right_keys: Sequence[int]) -> Callable:
-        """A cached INNER equi-join batch kernel (compiled-only form).
+        """A cached INNER equi-join batch kernel, shared by both back-ends.
 
-        Callers gate on ``evaluator.compiled and evaluator.batch``;
-        like :meth:`key` there is nothing to interpret in a positional
-        hash join, so no interpreted variant exists.
+        Like :meth:`key` there is nothing to interpret in a positional
+        hash join, so the interpreted back-end uses the same kernel.
         """
         return self.cache.join_kernel(left_keys, right_keys)
 
     def agg_kernel(
-        self, group_cols: Sequence[int], aggregates: Sequence[tuple[str, Expr | None]]
+        self,
+        group_cols: Sequence[int],
+        aggregates: Sequence[tuple[str, Expr | None, bool]],
     ) -> Callable:
-        """A cached hash-aggregation batch kernel (compiled-only form)."""
-        return self.cache.agg_kernel(group_cols, aggregates)
+        """A cached hash-aggregation batch kernel.
+
+        *aggregates* holds ``(func, arg, distinct)`` triples.  Aggregate
+        arguments carry no simulated weight in either back-end: the
+        operator charges one hash and one tuple per input row.
+        """
+        return self.cache.agg_kernel(group_cols, aggregates, not self.compiled)

@@ -25,7 +25,6 @@ Row = tuple
 Rows = list
 KeyFn = Callable[[Row], tuple]
 PredicateFn = Callable[[Row], bool]
-ProjectFn = Callable[[Row], Row]
 
 
 @dataclass
@@ -75,52 +74,18 @@ class JoinKind(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def select_rows(
-    rows: Sequence[Row],
-    predicate: PredicateFn,
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    """Filter *rows*; *eval_weight* is comparisons charged per evaluation.
-
-    Interpreted predicates pass a larger weight than compiled ones — the
-    paper's "interpretation overhead" lives in this number for the
-    simulated clock (and in real wall time for E5).
-    """
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
-    try:
-        return [row for row in rows if predicate(row)]
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"predicate failed: {exc}") from None
-
-
-def project_rows(
-    rows: Sequence[Row],
-    projector: ProjectFn,
-    meter: WorkMeter,
-    eval_weight: float = 1.0,
-) -> Rows:
-    meter.tuples += len(rows)
-    meter.compares += len(rows) * eval_weight
-    try:
-        return [projector(row) for row in rows]
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"projection failed: {exc}") from None
-
-
-def select_rows_batch(
+def select_batch(
     rows: Sequence[Row],
     kernel: Callable[[Sequence[Row]], Rows],
     meter: WorkMeter,
     eval_weight: float = 1.0,
 ) -> Rows:
-    """Filter a whole batch through one compiled kernel call.
+    """Filter a whole batch through one kernel call.
 
-    Identical results and identical closed-form charges to
-    :func:`select_rows`; only the host-CPU shape differs (the predicate
-    code is inlined in the kernel's single pass, so there are no
-    per-row Python calls).
+    *eval_weight* is comparisons charged per row: interpreted kernels
+    come with a larger weight than compiled ones — the paper's
+    "interpretation overhead" lives in this number for the simulated
+    clock (and in real wall time for E5).
     """
     meter.tuples += len(rows)
     meter.compares += len(rows) * eval_weight
@@ -130,13 +95,14 @@ def select_rows_batch(
         raise ExecutionError(f"predicate failed: {exc}") from None
 
 
-def project_rows_batch(
+def project_batch(
     rows: Sequence[Row],
     kernel: Callable[[Sequence[Row]], Rows],
     meter: WorkMeter,
     eval_weight: float = 1.0,
 ) -> Rows:
-    """Batch-at-a-time :func:`project_rows`: same rows, same charges."""
+    """Project a whole batch through one kernel call; charged like
+    :func:`select_batch`."""
     meter.tuples += len(rows)
     meter.compares += len(rows) * eval_weight
     try:
@@ -165,6 +131,8 @@ def hash_join(
     NULL keys never match (SQL semantics).  ``LEFT_OUTER`` pads
     unmatched left rows with ``right_width`` NULLs.  *residual* filters
     concatenated candidate rows (for mixed equi + non-equi conditions).
+    Plain INNER equi-joins run through :func:`hash_join_batch` instead;
+    this form serves the outer, semi, anti and residual joins.
     """
     if kind is JoinKind.LEFT_OUTER and right_width is None:
         raise ExecutionError("LEFT_OUTER join needs right_width for NULL padding")
@@ -183,20 +151,6 @@ def hash_join(
     output: Rows = []
     append = output.append
     get = table.get
-    if kind is JoinKind.INNER and residual is None:
-        # The hot path (equi-joins in every shuffle round): no residual
-        # filter, no padding, no per-row branch ladder.
-        for row in left:
-            key = left_key(row)
-            if None in key:
-                continue
-            matches = get(key)
-            if matches:
-                for match in matches:
-                    append(row + match)
-        meter.tuples += len(output)
-        return output
-
     pad = (None,) * (right_width or 0)
     for row in left:
         key = left_key(row)
@@ -236,8 +190,8 @@ def hash_join_batch(
     The kernel (see :func:`repro.exec.batch.compile_join_kernel`) builds
     the hash table over *right* once and probes with a single
     dict-lookup loop over *left* — key extraction inlined, no per-row
-    calls.  Output rows/order and meter charges are identical to the
-    :func:`hash_join` INNER fast path.
+    calls.  Output rows/order and meter charges are identical to
+    :func:`hash_join` with ``JoinKind.INNER`` and no residual.
     """
     meter.hashes += len(right) + len(left)
     output = kernel(left, right)
@@ -280,53 +234,6 @@ def nested_loop_join(
                 output.append(left_row + pad)
     except (TypeError, ZeroDivisionError) as exc:
         raise ExecutionError(f"join condition failed: {exc}") from None
-    meter.tuples += len(output)
-    return output
-
-
-def merge_join(
-    left: Sequence[Row],
-    right: Sequence[Row],
-    left_key: KeyFn,
-    right_key: KeyFn,
-    meter: WorkMeter,
-) -> Rows:
-    """Inner equi-join of two inputs by sorting then merging.
-
-    Kept as the classic alternative to :func:`hash_join`; the join
-    ablation benchmark compares the two.  NULL keys are dropped first.
-    """
-    left_sorted = sorted(
-        (row for row in left if not any(p is None for p in left_key(row))),
-        key=left_key,
-    )
-    right_sorted = sorted(
-        (row for row in right if not any(p is None for p in right_key(row))),
-        key=right_key,
-    )
-    meter.compares += _sort_compares(len(left_sorted)) + _sort_compares(len(right_sorted))
-    output: Rows = []
-    i = j = 0
-    while i < len(left_sorted) and j < len(right_sorted):
-        meter.compares += 1
-        lkey = left_key(left_sorted[i])
-        rkey = right_key(right_sorted[j])
-        if lkey < rkey:
-            i += 1
-        elif lkey > rkey:
-            j += 1
-        else:
-            # Find both runs of equal keys and emit their product.
-            i_end = i
-            while i_end < len(left_sorted) and left_key(left_sorted[i_end]) == lkey:
-                i_end += 1
-            j_end = j
-            while j_end < len(right_sorted) and right_key(right_sorted[j_end]) == rkey:
-                j_end += 1
-            for li in range(i, i_end):
-                for rj in range(j, j_end):
-                    output.append(left_sorted[li] + right_sorted[rj])
-            i, j = i_end, j_end
     meter.tuples += len(output)
     return output
 
@@ -532,132 +439,19 @@ def difference_rows(left: Sequence[Row], right: Sequence[Row], meter: WorkMeter)
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
 
 
-@dataclass(frozen=True)
-class AggSpec:
-    """One aggregate in a GROUP BY: ``func(arg)`` with optional DISTINCT.
-
-    ``arg`` is a compiled scalar (row -> value) or ``None`` for
-    ``COUNT(*)``.
-    """
-
-    func: str
-    arg: Callable[[Row], Any] | None = None
-    distinct: bool = False
-
-    def __post_init__(self) -> None:
-        if self.func not in AGGREGATE_FUNCTIONS:
-            raise ExecutionError(f"unknown aggregate {self.func!r}")
-        if self.func != "count" and self.arg is None:
-            raise ExecutionError(f"{self.func.upper()} needs an argument")
-
-
-class _AggState:
-    __slots__ = ("count", "total", "minimum", "maximum", "seen")
-
-    def __init__(self, distinct: bool):
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.seen: set | None = set() if distinct else None
-
-    def feed(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def result(self, func: str) -> Any:
-        if func == "count":
-            return self.count
-        if func == "sum":
-            return self.total
-        if func == "avg":
-            return None if self.count == 0 else self.total / self.count
-        if func == "min":
-            return self.minimum
-        return self.maximum
-
-
-def aggregate_rows(
-    rows: Sequence[Row],
-    group_key: KeyFn | None,
-    specs: Sequence[AggSpec],
-    meter: WorkMeter,
-) -> Rows:
-    """Hash aggregation.
-
-    Output rows are ``group_key_values + aggregate_values``.  With
-    ``group_key=None`` a single global row is produced even for empty
-    input (COUNT gives 0, the others NULL) — SQL semantics.
-
-    Work charges are closed-form per batch (one hash + one tuple per
-    input row, one tuple per output group); the common spec shapes run
-    through batched fast paths that keep flat accumulator lists instead
-    of per-group ``_AggState`` objects.  Accumulation order — and hence
-    float results, NULL handling, and group output order — is identical
-    to the generic loop.
-    """
-    meter.hashes += len(rows)
-    meter.tuples += len(rows)
-
-    if not any(spec.distinct for spec in specs):
-        output = _aggregate_fast(rows, group_key, specs)
-        meter.tuples += len(output)
-        return output
-
-    groups: dict[tuple, list[_AggState]] = {}
-
-    def new_states() -> list[_AggState]:
-        return [_AggState(spec.distinct) for spec in specs]
-
-    if group_key is None:
-        groups[()] = new_states()
-
-    try:
-        for row in rows:
-            key = group_key(row) if group_key is not None else ()
-            states = groups.get(key)
-            if states is None:
-                states = new_states()
-                groups[key] = states
-            for spec, state in zip(specs, states):
-                if spec.func == "count" and spec.arg is None:
-                    state.count += 1
-                else:
-                    assert spec.arg is not None
-                    state.feed(spec.arg(row))
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"aggregate argument failed: {exc}") from None
-
-    output: Rows = []
-    for key, states in groups.items():
-        output.append(
-            tuple(key) + tuple(state.result(spec.func) for spec, state in zip(specs, states))
-        )
-    meter.tuples += len(output)
-    return output
-
-
-def aggregate_rows_batch(
+def aggregate_batch(
     rows: Sequence[Row],
     kernel: Callable[[Sequence[Row]], Rows],
     meter: WorkMeter,
 ) -> Rows:
-    """Non-DISTINCT hash aggregation through one compiled kernel call.
+    """Hash aggregation through one kernel call.
 
-    The kernel (see :func:`repro.exec.batch.compile_agg_kernel`) inlines
-    the argument expressions and keeps per-group flat accumulator slots;
-    rows, group order, float accumulation order, and meter charges are
-    identical to :func:`aggregate_rows` on the same specs.
+    The kernel (see :func:`repro.exec.batch.compile_agg_kernel`) keeps
+    per-group flat accumulator slots.  Output rows are
+    ``group_key_values + aggregate_values``; a global aggregation yields
+    one row even for empty input (COUNT gives 0, the others NULL) — SQL
+    semantics.  Charges are closed-form per batch: one hash and one
+    tuple per input row, one tuple per output group.
     """
     meter.hashes += len(rows)
     meter.tuples += len(rows)
@@ -666,79 +460,4 @@ def aggregate_rows_batch(
     except (TypeError, ZeroDivisionError) as exc:
         raise ExecutionError(f"aggregate argument failed: {exc}") from None
     meter.tuples += len(output)
-    return output
-
-
-def _aggregate_fast(
-    rows: Sequence[Row], group_key: KeyFn | None, specs: Sequence[AggSpec]
-) -> Rows:
-    """Non-DISTINCT aggregation over flat ``[count, total, min, max]``
-    accumulator lists (4 slots per spec, one list per group)."""
-    args = [spec.arg for spec in specs]
-    n_specs = len(specs)
-
-    if n_specs == 1 and args[0] is None:
-        # Pure COUNT(*): a plain int per group.
-        counts: dict[tuple, int] = {}
-        if group_key is None:
-            counts[()] = 0
-            for _row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
-                counts[()] += 1
-        else:
-            get = counts.get
-            try:
-                for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
-                    key = group_key(row)
-                    counts[key] = get(key, 0) + 1
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ExecutionError(f"aggregate argument failed: {exc}") from None
-        return [tuple(key) + (count,) for key, count in counts.items()]
-
-    groups: dict[tuple, list] = {}
-    template = [0, None, None, None] * n_specs
-    if group_key is None:
-        groups[()] = list(template)
-    get = groups.get
-    try:
-        for row in rows:  # prismalint: disable=PL101 -- charged closed-form in aggregate_rows() before dispatching here
-            key = group_key(row) if group_key is not None else ()
-            state = get(key)
-            if state is None:
-                groups[key] = state = list(template)
-            base = 0
-            for arg in args:
-                if arg is None:
-                    state[base] += 1
-                else:
-                    value = arg(row)
-                    if value is not None:
-                        state[base] += 1
-                        total = state[base + 1]
-                        state[base + 1] = value if total is None else total + value
-                        if state[base + 2] is None or value < state[base + 2]:
-                            state[base + 2] = value
-                        if state[base + 3] is None or value > state[base + 3]:
-                            state[base + 3] = value
-                base += 4
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ExecutionError(f"aggregate argument failed: {exc}") from None
-
-    output: Rows = []
-    for key, state in groups.items():
-        values = []
-        for index, spec in enumerate(specs):
-            base = index * 4
-            func = spec.func
-            if func == "count":
-                values.append(state[base])
-            elif func == "sum":
-                values.append(state[base + 1])
-            elif func == "avg":
-                count = state[base]
-                values.append(None if count == 0 else state[base + 1] / count)
-            elif func == "min":
-                values.append(state[base + 2])
-            else:
-                values.append(state[base + 3])
-        output.append(tuple(key) + tuple(values))
     return output

@@ -115,12 +115,6 @@ class SplitterCache(SnapshotMixin):
         self._splitters: dict[tuple[tuple[int, ...], int], Splitter] = {}
         self.compilations = 0
         self.hits = 0
-        #: Shuffles served while the engine ran batch kernels vs
-        #: row-at-a-time loops.  The split shows up in the Snapshot
-        #: fingerprint, so a perf bisection can tell from a recorded
-        #: trace which execution path produced a regression.
-        self.batch_invocations = 0
-        self.row_invocations = 0
 
     def splitter(self, key_cols: Sequence[int], k: int) -> Splitter:
         shape = (tuple(key_cols), k)
@@ -133,26 +127,15 @@ class SplitterCache(SnapshotMixin):
             self.hits += 1
         return fn
 
-    def record_invocation(self, batch: bool) -> None:
-        """Count one shuffle under the engine's current execution path."""
-        if batch:
-            self.batch_invocations += 1
-        else:
-            self.row_invocations += 1
-
     def stats(self) -> dict[str, float]:
         lookups = self.compilations + self.hits
         return {
             "compilations": self.compilations,
             "hits": self.hits,
             "hit_rate": self.hits / lookups if lookups else 0.0,
-            "batch_invocations": self.batch_invocations,
-            "row_invocations": self.row_invocations,
         }
 
     def reset(self) -> None:
         self._splitters.clear()
         self.compilations = 0
         self.hits = 0
-        self.batch_invocations = 0
-        self.row_invocations = 0

@@ -391,18 +391,13 @@ class OneFragmentManager(PoolProcess):
             del remaining[i]
             break
         if candidates is None:
-            # No usable index: ordinary scan + filter.  The batch kernel
-            # runs the whole fragment through one compiled pass (no
-            # per-row predicate calls); charges are identical either way.
+            # No usable index: ordinary scan + filter, the whole
+            # fragment through one batch-kernel pass.
             self._charge_disk_scan()
             meter = WorkMeter(tuples=len(self.table))
+            kernel, weight = self.evaluator.batch_predicate(predicate_expr)
             try:
-                if self.evaluator.batch:
-                    kernel, weight = self.evaluator.batch_predicate(predicate_expr)
-                    rows = kernel(self.table.rows())
-                else:
-                    predicate, weight = self.evaluator.predicate(predicate_expr)
-                    rows = [row for row in self.table.rows() if predicate(row)]
+                rows = kernel(self.table.rows())
             except (TypeError, ZeroDivisionError) as exc:
                 raise ExecutionError(f"predicate failed: {exc}") from None
             meter.compares += len(self.table) * weight
@@ -411,14 +406,9 @@ class OneFragmentManager(PoolProcess):
         rows = [self.table.get(rid) for rid in candidates if self.table.has_rid(rid)]
         meter = WorkMeter(hashes=1, tuples=len(rows))
         if remaining:
-            residual = and_(*remaining)
+            kernel, weight = self.evaluator.batch_predicate(and_(*remaining))
             try:
-                if self.evaluator.batch:
-                    kernel, weight = self.evaluator.batch_predicate(residual)
-                    rows = kernel(rows)
-                else:
-                    predicate, weight = self.evaluator.predicate(residual)
-                    rows = [row for row in rows if predicate(row)]
+                rows = kernel(rows)
             except (TypeError, ZeroDivisionError) as exc:
                 raise ExecutionError(f"predicate failed: {exc}") from None
             meter.compares += len(candidates) * weight

@@ -1,0 +1,187 @@
+"""Row-at-a-time reference operators that tests compare the engine against.
+
+The engine runs every selection, projection and aggregation through a
+batch kernel (:mod:`repro.exec.batch`).  These are the plain per-row
+loops those kernels replace, kept only as oracles: a kernel must give
+the same rows in the same order, and the same closed-form charges.
+:func:`merge_join` is an independent (sort-based) algorithm for the
+hash joins to agree with, as a multiset.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from typing import Any
+
+from repro.errors import ExecutionError
+from repro.exec.operators import AGGREGATE_FUNCTIONS, WorkMeter
+
+Row = tuple
+KeyFn = Callable[[Row], tuple]
+
+
+def select_rows(
+    rows: Sequence[Row],
+    predicate: Callable[[Row], bool],
+    meter: WorkMeter,
+    eval_weight: float = 1.0,
+) -> list[Row]:
+    """Filter *rows*; *eval_weight* is comparisons charged per evaluation."""
+    meter.tuples += len(rows)
+    meter.compares += len(rows) * eval_weight
+    try:
+        return [row for row in rows if predicate(row)]
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ExecutionError(f"predicate failed: {exc}") from None
+
+
+def project_rows(
+    rows: Sequence[Row],
+    projector: Callable[[Row], Row],
+    meter: WorkMeter,
+    eval_weight: float = 1.0,
+) -> list[Row]:
+    meter.tuples += len(rows)
+    meter.compares += len(rows) * eval_weight
+    try:
+        return [projector(row) for row in rows]
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ExecutionError(f"projection failed: {exc}") from None
+
+
+def merge_join(
+    left: Sequence[Row], right: Sequence[Row], left_key: KeyFn, right_key: KeyFn
+) -> list[Row]:
+    """Inner equi-join by sorting both inputs then merging equal-key runs.
+
+    NULL keys are dropped first (SQL semantics).  Output order follows
+    the sorted keys, so compare it with a hash join as a multiset.
+    """
+    left_sorted = sorted(
+        (row for row in left if None not in left_key(row)), key=left_key
+    )
+    right_sorted = sorted(
+        (row for row in right if None not in right_key(row)), key=right_key
+    )
+    output: list[Row] = []
+    i = j = 0
+    while i < len(left_sorted) and j < len(right_sorted):
+        lkey = left_key(left_sorted[i])
+        rkey = right_key(right_sorted[j])
+        if lkey < rkey:
+            i += 1
+        elif lkey > rkey:
+            j += 1
+        else:
+            i_end = i
+            while i_end < len(left_sorted) and left_key(left_sorted[i_end]) == lkey:
+                i_end += 1
+            j_end = j
+            while j_end < len(right_sorted) and right_key(right_sorted[j_end]) == rkey:
+                j_end += 1
+            for li in range(i, i_end):
+                for rj in range(j, j_end):
+                    output.append(left_sorted[li] + right_sorted[rj])
+            i, j = i_end, j_end
+    return output
+
+
+@dataclass(frozen=True)
+class AggSpec:
+    """One aggregate in a GROUP BY: ``func(arg)`` with optional DISTINCT.
+
+    ``arg`` is a row -> value callable, or ``None`` for ``COUNT(*)``.
+    """
+
+    func: str
+    arg: Callable[[Row], Any] | None = None
+    distinct: bool = False
+
+    def __post_init__(self) -> None:
+        if self.func not in AGGREGATE_FUNCTIONS:
+            raise ExecutionError(f"unknown aggregate {self.func!r}")
+        if self.func != "count" and self.arg is None:
+            raise ExecutionError(f"{self.func.upper()} needs an argument")
+
+
+class _AggState:
+    __slots__ = ("count", "total", "minimum", "maximum", "seen")
+
+    def __init__(self, distinct: bool):
+        self.count = 0
+        self.total: Any = None
+        self.minimum: Any = None
+        self.maximum: Any = None
+        self.seen: set | None = set() if distinct else None
+
+    def feed(self, value: Any) -> None:
+        if value is None:
+            return
+        if self.seen is not None:
+            if value in self.seen:
+                return
+            self.seen.add(value)
+        self.count += 1
+        self.total = value if self.total is None else self.total + value
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
+
+    def result(self, func: str) -> Any:
+        if func == "count":
+            return self.count
+        if func == "sum":
+            return self.total
+        if func == "avg":
+            return None if self.count == 0 else self.total / self.count
+        if func == "min":
+            return self.minimum
+        return self.maximum
+
+
+def aggregate_rows(
+    rows: Sequence[Row],
+    group_key: KeyFn | None,
+    specs: Sequence[AggSpec],
+    meter: WorkMeter,
+) -> list[Row]:
+    """Hash aggregation, one state object per (group, aggregate).
+
+    Output rows are ``group_key_values + aggregate_values``.  With
+    ``group_key=None`` a single global row is produced even for empty
+    input (COUNT gives 0, the others NULL) — SQL semantics.
+    """
+    meter.hashes += len(rows)
+    meter.tuples += len(rows)
+    groups: dict[tuple, list[_AggState]] = {}
+
+    def new_states() -> list[_AggState]:
+        return [_AggState(spec.distinct) for spec in specs]
+
+    if group_key is None:
+        groups[()] = new_states()
+
+    try:
+        for row in rows:
+            key = group_key(row) if group_key is not None else ()
+            states = groups.get(key)
+            if states is None:
+                states = new_states()
+                groups[key] = states
+            for spec, state in zip(specs, states):
+                if spec.func == "count" and spec.arg is None:
+                    state.count += 1
+                else:
+                    assert spec.arg is not None
+                    state.feed(spec.arg(row))
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ExecutionError(f"aggregate argument failed: {exc}") from None
+
+    output = [
+        tuple(key) + tuple(state.result(spec.func) for spec, state in zip(specs, states))
+        for key, states in groups.items()
+    ]
+    meter.tuples += len(output)
+    return output

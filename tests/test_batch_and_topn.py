@@ -1,12 +1,13 @@
-"""Columnar batch engine + fused heap top-N (PR 7).
+"""Batch kernels + fused heap top-N.
 
 Four layers of coverage:
 
-* ``ColumnBatch`` unit behavior (layout round-trips, int packing,
-  selection, zero-copy projection);
-* compiled batch kernels against their row-at-a-time references on
-  randomized mixed-type data (the batch engine's contract is *identical
-  rows, identical order*);
+* batch kernels against the row-at-a-time oracles of
+  :mod:`tests.oracles` on randomized mixed-type data (the kernels'
+  contract is *identical rows, identical order, identical charges*),
+  in both expression back-ends, including DISTINCT aggregates and an
+  end-to-end DISTINCT aggregate query checked against stdlib
+  ``sqlite3``;
 * ``top_n_rows`` against the ``sort_rows`` + ``limit_rows`` oracle
   across key types, tie-breaking, direction mixes, and offsets, plus
   the LIMIT/OFFSET edge cases and charge accounting;
@@ -17,100 +18,47 @@ Four layers of coverage:
 
 import math
 import random
+import sqlite3
 
 import pytest
 
 from repro.core.database import MachineConfig, PrismaDB
 from repro.errors import ExecutionError
 from repro.exec.batch import (
-    ColumnBatch,
     batchable_projection,
     compile_agg_kernel,
     compile_batch_predicate,
     compile_batch_projector,
     compile_join_kernel,
-    compile_selection_vector,
 )
 from repro.exec.evaluation import Evaluator
 from repro.exec.expressions import Arithmetic, Comparison, col, eq, lit
+from repro.exec.interpreter import evaluate
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     WorkMeter,
-    aggregate_rows,
+    aggregate_batch,
     hash_join,
     limit_rows,
-    project_rows,
-    select_rows,
     sort_rows,
     top_n_rows,
 )
 from repro.algebra.local_exec import LocalExecutor
 from repro.algebra.plan import (
+    AggExpr,
+    AggregateNode,
+    JoinNode,
     LimitNode,
     ProjectNode,
     ScanNode,
+    SelectNode,
     SortNode,
     TopNNode,
 )
 from repro.algebra.rules import KNOWLEDGE_BASE, apply_rules
 from repro.storage import DataType, Schema
 from repro.workloads.wisconsin import load_wisconsin
-
-# ---------------------------------------------------------------------------
-# ColumnBatch
-# ---------------------------------------------------------------------------
-
-
-class TestColumnBatch:
-    ROWS = [(1, "a", 1.5), (2, "b", None), (3, "c", 2.5)]
-
-    def test_row_column_round_trip(self):
-        batch = ColumnBatch.from_rows(self.ROWS)
-        assert batch.columns() == [[1, 2, 3], ["a", "b", "c"], [1.5, None, 2.5]]
-        back = ColumnBatch.from_columns(batch.columns())
-        assert back.rows() == self.ROWS
-        assert len(batch) == 3
-        assert batch.width == 3
-
-    def test_adoption_is_zero_copy(self):
-        rows = list(self.ROWS)
-        batch = ColumnBatch.from_rows(rows)
-        assert batch.rows() is rows
-
-    def test_packed_column_is_int_only(self):
-        batch = ColumnBatch.from_rows([(1, True), (2, False), (3, True)])
-        packed = batch.packed_column(0)
-        assert list(packed) == [1, 2, 3]
-        assert packed.typecode == "q"
-        # Booleans round-trip as bool, so they must not pack to ints:
-        # the fallback is the plain (unpacked) column list.
-        unpacked = batch.packed_column(1)
-        assert unpacked == [True, False, True]
-        assert not isinstance(unpacked, type(packed))
-
-    def test_packed_column_rejects_overflow_and_nulls(self):
-        from array import array
-
-        too_big = ColumnBatch.from_rows([(2**63,)])
-        assert not isinstance(too_big.packed_column(0), array)
-        with_null = ColumnBatch.from_rows([(1,), (None,)])
-        assert not isinstance(with_null.packed_column(0), array)
-
-    def test_take_and_project(self):
-        batch = ColumnBatch.from_rows(self.ROWS)
-        taken = batch.take([0, 2])
-        assert taken.rows() == [self.ROWS[0], self.ROWS[2]]
-        projected = batch.project((2, 0))
-        assert projected.rows() == [(1.5, 1), (None, 2), (2.5, 3)]
-        # Pass-through projection shares the column lists (zero copy).
-        assert projected.column(1) is batch.column(0)
-
-    def test_empty_batch(self):
-        batch = ColumnBatch.from_rows([])
-        assert batch.rows() == []
-        assert len(batch) == 0
-
+from tests.oracles import AggSpec, aggregate_rows, project_rows, select_rows
 
 # ---------------------------------------------------------------------------
 # Batch kernels vs row-at-a-time references
@@ -142,14 +90,6 @@ class TestBatchKernels:
         kernel = compile_batch_predicate(expr)
         fn, _ = Evaluator().predicate(expr)
         assert kernel(rows) == select_rows(rows, fn, WorkMeter())
-
-    def test_selection_vector_agrees_with_predicate(self):
-        rows = [(i, i % 5) for i in range(100)]
-        expr = eq(col(1), lit(2))
-        indices = compile_selection_vector(expr)(rows)
-        assert [rows[i] for i in indices] == compile_batch_predicate(expr)(rows)
-        batch = ColumnBatch.from_rows(rows)
-        assert batch.take(indices).rows() == compile_batch_predicate(expr)(rows)
 
     def test_projector_matches_row_projector(self):
         rows = [(i, i + 1, "x") for i in range(50)]
@@ -206,66 +146,205 @@ class TestBatchKernels:
             for _ in range(300)
         ]
         aggregates = [
-            ("count", None),
-            ("count", col(1)),
-            ("sum", col(1)),
-            ("avg", col(1)),
-            ("min", col(1)),
-            ("max", col(1)),
+            ("count", None, False),
+            ("count", col(1), False),
+            ("sum", col(1), False),
+            ("avg", col(1), False),
+            ("min", col(1), False),
+            ("max", col(1), False),
         ]
         kernel = compile_agg_kernel((0,), aggregates)
         specs = [
             AggSpec(func, None if arg is None else (lambda r: r[1]))
-            for func, arg in aggregates
+            for func, arg, _distinct in aggregates
         ]
         expected = aggregate_rows(rows, lambda r: (r[0],), specs, WorkMeter())
         assert kernel(rows) == expected
 
     def test_agg_kernel_global_empty_input(self):
-        aggregates = [("count", None), ("sum", col(0)), ("min", col(0))]
+        aggregates = [("count", None, False), ("sum", col(0), False), ("min", col(0), False)]
         kernel = compile_agg_kernel((), aggregates)
         specs = [
             AggSpec(func, None if arg is None else (lambda r: r[0]))
-            for func, arg in aggregates
+            for func, arg, _distinct in aggregates
         ]
         expected = aggregate_rows([], None, specs, WorkMeter())
         assert kernel([]) == expected == [(0, None, None)]
 
     def test_count_star_shortcut_counts_rows(self):
-        kernel = compile_agg_kernel((), [("count", None)])
+        kernel = compile_agg_kernel((), [("count", None, False)])
         assert kernel([]) == [(0,)]
         assert kernel([(None,), (1,), (2,)]) == [(3,)]
-        twice = compile_agg_kernel((), [("count", None), ("count", None)])
+        twice = compile_agg_kernel((), [("count", None, False), ("count", None, True)])
         assert twice([(1,)] * 5) == [(5, 5)]
 
 
 # ---------------------------------------------------------------------------
-# Batch on/off A/B at the local-executor level
+# One aggregation kernel, both back-ends, vs the per-row oracle
+# ---------------------------------------------------------------------------
+
+
+def _agg_rows(seed, n):
+    """(g1, v, g2) rows: v mixes ints, floats and NULLs with repeats, so
+    DISTINCT has duplicates to drop."""
+    rng = random.Random(seed)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return rng.randrange(-6, 6)
+        if kind == 2:
+            return rng.choice([0.5, -1.25, 2.0, 3.75])
+        return round(rng.uniform(-9, 9), 3)
+
+    return [(rng.randrange(4), value(), rng.randrange(2)) for _ in range(n)]
+
+
+#: ``(func, arg, distinct)`` over every function, with and without
+#: DISTINCT, plus a computed argument the interpreter must walk.
+_AGG_SPECS = [("count", None, False), ("count", None, True)] + [
+    (func, arg, distinct)
+    for func in ("count", "sum", "avg", "min", "max")
+    for arg in (col(1), Arithmetic("*", col(1), lit(2)))
+    for distinct in (False, True)
+]
+
+
+class TestAggKernelVsOracle:
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("group_cols", [(0,), (0, 2), ()], ids=["g1", "g1g2", "global"])
+    @pytest.mark.parametrize("seed,n", [(1, 400), (2, 400), (3, 0)])
+    def test_kernel_matches_oracle(self, compiled, group_cols, seed, n):
+        rows = _agg_rows(seed, n)
+        kernel = Evaluator(compiled=compiled).agg_kernel(group_cols, _AGG_SPECS)
+        meter = WorkMeter()
+        got = aggregate_batch(rows, kernel, meter)
+        specs = [
+            AggSpec(func, None if arg is None else (lambda r, _e=arg: evaluate(_e, r)), distinct)
+            for func, arg, distinct in _AGG_SPECS
+        ]
+        group_key = (lambda r: tuple(r[c] for c in group_cols)) if group_cols else None
+        oracle_meter = WorkMeter()
+        expected = aggregate_rows(rows, group_key, specs, oracle_meter)
+        assert got == expected
+        assert meter.stats() == oracle_meter.stats()
+        if n == 0:
+            assert len(got) == (0 if group_cols else 1)
+
+    def test_distinct_drops_repeats_per_group(self):
+        rows = [(1, 2), (1, 2), (1, 3), (2, 2), (2, None)]
+        for compiled in (True, False):
+            kernel = Evaluator(compiled=compiled).agg_kernel(
+                (0,),
+                [("count", col(1), True), ("sum", col(1), True), ("avg", col(1), True)],
+            )
+            assert kernel(rows) == [(1, 2, 5, 2.5), (2, 1, 2, 2.0)]
+
+    def test_back_ends_cache_separately(self):
+        evaluator = Evaluator()
+        specs = [("sum", col(1), False)]
+        assert evaluator.agg_kernel((0,), specs) is evaluator.agg_kernel((0,), specs)
+        interpreted = evaluator.cache.agg_kernel((0,), specs, True)
+        assert interpreted is not evaluator.agg_kernel((0,), specs)
+        assert "_interp" in interpreted.__prisma_source__
+
+
+class TestDistinctAggregateSQL:
+    """End to end through SQL, checked against stdlib ``sqlite3``."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_matches_sqlite(self, compiled):
+        rng = random.Random(17)
+        rows = []
+        for i in range(240):
+            kind = rng.randrange(4)
+            # Floats are exact binary fractions, so SUM is independent of
+            # the order either engine adds the distinct values in.
+            v = (
+                None if kind == 0
+                else rng.randrange(-8, 8) if kind < 3
+                else rng.choice([0.5, 1.5, -2.25, 3.0])
+            )
+            rows.append((i, rng.randrange(5), v))
+        db = PrismaDB(
+            MachineConfig(n_nodes=8, disk_nodes=(0,)), compiled_expressions=compiled
+        )
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, g INT, v FLOAT)"
+            " FRAGMENTED BY HASH(id) INTO 4"
+        )
+        db.bulk_load("t", rows)
+        oracle = sqlite3.connect(":memory:")
+        try:
+            oracle.execute("CREATE TABLE t (id INTEGER, g INTEGER, v REAL)")
+            oracle.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+            for sql in (
+                "SELECT g, COUNT(DISTINCT v), SUM(DISTINCT v), MIN(v), MAX(v)"
+                " FROM t GROUP BY g",
+                "SELECT COUNT(DISTINCT v), SUM(DISTINCT v), AVG(DISTINCT v) FROM t",
+            ):
+                got = sorted(db.execute(sql).rows)
+                want = sorted(oracle.execute(sql).fetchall())
+                assert got == want, sql
+        finally:
+            oracle.close()
+
+
+# ---------------------------------------------------------------------------
+# Compiled vs interpreted at the local-executor level
 # ---------------------------------------------------------------------------
 
 
 class TestBatchRowEquivalence:
-    SCHEMA = Schema.of(k=DataType.INT, g=DataType.INT, v=DataType.FLOAT)
+    """Both back-ends run every operator through the same batch shape:
+    compiled kernels inline the expression code, interpreted ones walk
+    the tree per row.  Rows and tuple/hash charges must be identical;
+    only compares carry the interpretation penalty."""
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_same_rows_same_charges(self, compiled):
+    T = Schema.of(k=DataType.INT, g=DataType.INT, v=DataType.FLOAT)
+    U = Schema.of(k2=DataType.INT, w=DataType.INT)
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_same_rows_same_charges(self, distinct):
         rng = random.Random(5)
-        rows = [
+        t_rows = [
             (rng.randrange(40), rng.randrange(6), round(rng.uniform(0, 9), 2))
             for _ in range(250)
         ]
-        scan = ScanNode("t", self.SCHEMA)
-        plan = ProjectNode(SortNode(scan, [(0, False)]), [col(0), col(1)])
+        u_rows = [(rng.randrange(40), rng.randrange(3)) for _ in range(60)]
+        join = JoinNode(ScanNode("t", self.T), ScanNode("u", self.U), eq(col(0), col(3)))
+        selected = SelectNode(join, Comparison(">", col(2), lit(2.0)))
+        aggregated = AggregateNode(
+            selected,
+            [1],
+            [
+                AggExpr("count", None),
+                AggExpr("sum", col(4), distinct),
+                AggExpr("avg", Arithmetic("*", col(2), lit(2)), distinct),
+                AggExpr("max", col(2), distinct),
+            ],
+        )
+        plan = SortNode(
+            ProjectNode(aggregated, [col(0), col(1), col(2), col(3), col(4)]),
+            [(0, False)],
+        )
         results = {}
-        for batch in (True, False):
+        for compiled in (True, False):
             meter = WorkMeter()
             executor = LocalExecutor(
-                {"t": rows},
-                evaluator=Evaluator(compiled=compiled, batch=batch),
+                {"t": t_rows, "u": u_rows},
+                evaluator=Evaluator(compiled=compiled),
                 meter=meter,
             )
-            results[batch] = (executor.run(plan), meter.tuples, meter.compares)
+            results[compiled] = (executor.run(plan), meter.tuples, meter.hashes)
+            if compiled:
+                compiled_compares = meter.compares
+            else:
+                assert meter.compares > compiled_compares
         assert results[True] == results[False]
+        assert results[True][0]
 
 
 # ---------------------------------------------------------------------------

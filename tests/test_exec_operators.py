@@ -3,24 +3,26 @@
 import pytest
 
 from repro.errors import ExecutionError
+from repro.exec.batch import compile_agg_kernel
+from repro.exec.evaluation import Evaluator
+from repro.exec.expressions import col
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     WorkMeter,
-    aggregate_rows,
+    aggregate_batch,
     difference_rows,
     distinct_rows,
     hash_join,
     intersect_rows,
     limit_rows,
-    merge_join,
     nested_loop_join,
-    project_rows,
-    select_rows,
+    project_batch,
+    select_batch,
     sort_rows,
     union_all_rows,
     union_rows,
 )
+from tests.oracles import merge_join
 
 
 def key0(row):
@@ -30,27 +32,35 @@ def key0(row):
 class TestSelectProject:
     def test_select_filters_and_meters(self):
         meter = WorkMeter()
-        out = select_rows([(1,), (2,), (3,)], lambda r: r[0] > 1, meter)
+        out = select_batch(
+            [(1,), (2,), (3,)], lambda rows: [r for r in rows if r[0] > 1], meter
+        )
         assert out == [(2,), (3,)]
         assert meter.tuples == 3
 
     def test_select_eval_weight_scales_compares(self):
         meter = WorkMeter()
-        select_rows([(1,)] * 10, lambda r: True, meter, eval_weight=3.0)
+        select_batch([(1,)] * 10, list, meter, eval_weight=3.0)
         assert meter.compares == 30.0
 
     def test_select_wraps_runtime_faults(self):
         with pytest.raises(ExecutionError):
-            select_rows([(1,)], lambda r: r[0] < "x", WorkMeter())
+            select_batch(
+                [(1,)], lambda rows: [r for r in rows if r[0] < "x"], WorkMeter()
+            )
 
     def test_project(self):
         meter = WorkMeter()
-        out = project_rows([(1, "a")], lambda r: (r[1], r[0] * 2), meter)
+        out = project_batch(
+            [(1, "a")], lambda rows: [(r[1], r[0] * 2) for r in rows], meter
+        )
         assert out == [("a", 2)]
 
     def test_project_wraps_faults(self):
         with pytest.raises(ExecutionError):
-            project_rows([(1,)], lambda r: (r[0] / 0,), WorkMeter())
+            project_batch(
+                [(1,)], lambda rows: [(r[0] / 0,) for r in rows], WorkMeter()
+            )
 
 
 class TestHashJoin:
@@ -131,12 +141,12 @@ class TestOtherJoins:
     def test_merge_join_matches_hash_join(self):
         left = [(i % 5, i) for i in range(20)]
         right = [(i % 3, -i) for i in range(15)]
-        merged = merge_join(left, right, key0, key0, WorkMeter())
+        merged = merge_join(left, right, key0, key0)
         hashed = hash_join(left, right, key0, key0, WorkMeter())
         assert sorted(merged) == sorted(hashed)
 
     def test_merge_join_drops_null_keys(self):
-        out = merge_join([(None, 1), (2, 2)], [(2, 9)], key0, key0, WorkMeter())
+        out = merge_join([(None, 1), (2, 2)], [(2, 9)], key0, key0)
         assert out == [(2, 2, 2, 9)]
 
 
@@ -209,65 +219,67 @@ class TestDistinctLimitSetOps:
         assert out == [(1,)]
 
 
+def _aggregate(rows, group_cols, aggregates):
+    """Aggregate through the kernel of both back-ends; they must agree."""
+    outputs = []
+    for compiled in (True, False):
+        kernel = Evaluator(compiled=compiled).agg_kernel(group_cols, aggregates)
+        outputs.append(aggregate_batch(rows, kernel, WorkMeter()))
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
 class TestAggregation:
     ROWS = [("eng", 100.0), ("eng", 80.0), ("hr", 50.0)]
 
     def test_group_by_with_all_functions(self):
-        out = aggregate_rows(
+        out = _aggregate(
             self.ROWS,
-            lambda r: (r[0],),
+            (0,),
             [
-                AggSpec("count"),
-                AggSpec("sum", lambda r: r[1]),
-                AggSpec("avg", lambda r: r[1]),
-                AggSpec("min", lambda r: r[1]),
-                AggSpec("max", lambda r: r[1]),
+                ("count", None, False),
+                ("sum", col(1), False),
+                ("avg", col(1), False),
+                ("min", col(1), False),
+                ("max", col(1), False),
             ],
-            WorkMeter(),
         )
         by_group = {row[0]: row[1:] for row in out}
         assert by_group["eng"] == (2, 180.0, 90.0, 80.0, 100.0)
         assert by_group["hr"] == (1, 50.0, 50.0, 50.0, 50.0)
 
     def test_global_aggregate_on_empty_input(self):
-        out = aggregate_rows(
-            [], None,
-            [AggSpec("count"), AggSpec("sum", lambda r: r[0]),
-             AggSpec("min", lambda r: r[0])],
-            WorkMeter(),
+        out = _aggregate(
+            [], (),
+            [("count", None, False), ("sum", col(0), False), ("min", col(0), False)],
         )
         assert out == [(0, None, None)]
 
     def test_group_by_empty_input_has_no_groups(self):
-        out = aggregate_rows([], lambda r: (r[0],), [AggSpec("count")], WorkMeter())
+        out = _aggregate([], (0,), [("count", None, False)])
         assert out == []
 
     def test_nulls_ignored_by_aggregates(self):
         rows = [(1,), (None,), (3,)]
-        out = aggregate_rows(
-            rows, None,
-            [AggSpec("count", lambda r: r[0]), AggSpec("sum", lambda r: r[0]),
-             AggSpec("avg", lambda r: r[0])],
-            WorkMeter(),
+        out = _aggregate(
+            rows, (),
+            [("count", col(0), False), ("sum", col(0), False), ("avg", col(0), False)],
         )
         assert out == [(2, 4, 2.0)]
 
     def test_count_star_counts_nulls(self):
-        out = aggregate_rows([(None,), (1,)], None, [AggSpec("count")], WorkMeter())
+        out = _aggregate([(None,), (1,)], (), [("count", None, False)])
         assert out == [(2,)]
 
     def test_distinct_aggregate(self):
         rows = [(1,), (1,), (2,)]
-        out = aggregate_rows(
-            rows, None,
-            [AggSpec("count", lambda r: r[0], distinct=True),
-             AggSpec("sum", lambda r: r[0], distinct=True)],
-            WorkMeter(),
+        out = _aggregate(
+            rows, (), [("count", col(0), True), ("sum", col(0), True)]
         )
         assert out == [(2, 3)]
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ExecutionError):
-            AggSpec("median", lambda r: r[0])
+            compile_agg_kernel((), [("median", col(0), False)])
         with pytest.raises(ExecutionError):
-            AggSpec("sum")
+            compile_agg_kernel((), [("sum", None, False)])

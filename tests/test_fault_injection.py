@@ -22,6 +22,7 @@ from repro.errors import (
     PrismaError,
     ProcessCrashed,
     RecoveryError,
+    TransactionAborted,
 )
 from repro.core.faults import (
     ABORT_POINTS,
@@ -30,6 +31,7 @@ from repro.core.faults import (
     CrashPoint,
     FaultInjector,
 )
+from repro.core.locks import WouldBlock
 
 CONFIG = MachineConfig(n_nodes=4, disk_nodes=(0, 2), topology="ring")
 
@@ -481,6 +483,46 @@ class TestLinkFailures:
         db.runtime.run(until=at + 1.0)
         assert not db.machine.node_is_up(node)
         assert any(entry[0] == "crash_element" for entry in db.faults.injections)
+
+
+class TestPartitionDuringCommit:
+    """A participant that is alive but unreachable when COMMIT runs.
+
+    Known defect (ROADMAP item 2, partition-safe commit): the abort
+    path sends to every *alive* participant, so the cut-off one raises
+    a raw ``LinkDownError`` to the client, and the transaction's locks
+    stay held after the partition heals.  The fix is presumed abort
+    with durable in-doubt records; until then this test must fail.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="partition during commit leaks LinkDownError and wedges locks",
+    )
+    def test_unreachable_participant_aborts_cleanly(self):
+        db = PrismaDB(MachineConfig(n_nodes=16, disk_nodes=(0,)))
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 4"
+        )
+        for key in range(10):
+            db.execute(f"INSERT INTO t VALUES ({key}, 0)")
+        session = db.session()
+        session.execute("BEGIN")
+        session.execute("UPDATE t SET v = v + 1")
+        participants = list(session._state.txn.participants.values())
+        assert len(participants) == 4
+        node = participants[-1].node_id
+        cut = [(node, neighbor) for neighbor in db.machine.topology.neighbors(node)]
+        with db.machine.faults(links=cut):
+            with pytest.raises(TransactionAborted):
+                session.execute("COMMIT")
+        # Healed: the aborted update is invisible and holds no locks.
+        try:
+            total = db.query("SELECT SUM(v) FROM t")
+        except WouldBlock as exc:
+            pytest.fail(f"aborted transaction still holds locks after heal: {exc}")
+        assert total == [(0,)]
 
 
 class TestDeterminism:

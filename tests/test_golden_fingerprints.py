@@ -23,6 +23,17 @@ from the *simulated clock* (busy totals, message counts, shipped
 bytes, per-node work) — are byte-identical to the pre-batch pins,
 which is the proof that the batch kernels are behavior-preserving.
 
+Deleting the row-at-a-time engine (operators now run only through
+batch kernels) re-pinned two digests; ``expressions`` and the four
+simulated-clock surfaces above stayed byte-identical:
+
+* ``shuffle`` — the splitter cache lost its ``batch_invocations`` /
+  ``row_invocations`` counters.  The new digest is
+  ``fingerprint_stats({"compilations": 3, "hits": 36,
+  "hit_rate": 36/39})``: the old stats minus those two keys
+  (``batch_invocations`` was always ``compilations + hits`` = 39).
+* ``__facade__`` — the combined digest, which folds in ``shuffle``.
+
 If a deliberate behavior change moves these, re-pin with::
 
     PYTHONPATH=src python tests/golden/fingerprint_scenario.py
@@ -31,13 +42,13 @@ If a deliberate behavior change moves these, re-pin with::
 from tests.golden.fingerprint_scenario import run_scenario
 
 PINNED = {
-    "__facade__": "f0ae2f45ca127ee2c9051c834a89522c7d2d108efae5360327879a3e153d7601",
+    "__facade__": "f692cda9b756a4cbf4b4a9ad5d6778311a8bb2ad448d8ad55ff3d20e5ba2f0fe",
     "expressions": "d688df5def39a77a7403d730e6eecc3394c75618721cc10cfeccac08a4477bb8",
     "faults": "ecffdbbb3f1d7e1f2cbb798288f3eebf849eba4a4c4aa3c6dd57edeeda6e2e07",
     "metrics": "bfa0c7c777d7d3a53770a7646d0a3f711bdfbb64d42d582299161f5176d654ae",
     "nodes": "8cc40392bc49e4c188590f7abb004f94de814f5fc8742659db3cde091203758a",
     "runtime": "e6910616bc7839ad1102e61dadf4037d3405b168f3644b96a68ca5ae6ec252c8",
-    "shuffle": "84eebeaf98364ac1388438fe50a1bbc4de1ab83719b223f825dce4e30d4ae6a7",
+    "shuffle": "774e6cb78e97524b91337e3f4e98ad312ba358efd12c8ffada4e5ba8dd8c5625",
 }
 
 

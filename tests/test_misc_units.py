@@ -60,8 +60,11 @@ class TestEvaluatorFacade:
         assert [compiled_fn(r) for r in rows] == [interpreted_fn(r) for r in rows]
 
     def test_scalar_helper(self):
-        fn, _ = Evaluator().scalar(Arithmetic("*", col(0), lit(3)))
-        assert fn((4,)) == 12
+        # A scalar is a one-column projection in either back-end.
+        expr = Arithmetic("*", col(0), lit(3))
+        for compiled in (True, False):
+            fn, _ = Evaluator(compiled=compiled).projector((expr,))
+            assert fn((4,)) == (12,)
 
 
 class TestQueryResult:

@@ -3,21 +3,21 @@ fragmentation routing invariants, and WAL round-trips."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.compiler import compile_key
+from repro.exec.batch import compile_agg_kernel
+from repro.exec.expressions import col
 from repro.exec.operators import (
-    AggSpec,
     JoinKind,
     WorkMeter,
-    aggregate_rows,
+    aggregate_batch,
     difference_rows,
     distinct_rows,
     hash_join,
     intersect_rows,
-    merge_join,
     nested_loop_join,
     sort_rows,
     union_rows,
 )
+from tests.oracles import merge_join
 from repro.core.fragmentation import (
     HashFragmentation,
     RangeFragmentation,
@@ -46,7 +46,7 @@ class TestJoinProperties:
     @given(left=_int_rows, right=_int_rows)
     @settings(max_examples=100, deadline=None)
     def test_merge_join_matches_hash_join(self, left, right):
-        merged = merge_join(left, right, key0, key0, WorkMeter())
+        merged = merge_join(left, right, key0, key0)
         hashed = hash_join(left, right, key0, key0, WorkMeter())
         assert sorted(merged) == sorted(hashed)
 
@@ -108,12 +108,8 @@ class TestAggregateProperties:
     @given(rows=_int_rows)
     @settings(max_examples=100, deadline=None)
     def test_grouped_sums_match_python(self, rows):
-        out = aggregate_rows(
-            rows,
-            compile_key([0]),
-            [AggSpec("count", None), AggSpec("sum", lambda r: r[1])],
-            WorkMeter(),
-        )
+        kernel = compile_agg_kernel((0,), [("count", None, False), ("sum", col(1), False)])
+        out = aggregate_batch(rows, kernel, WorkMeter())
         expected = {}
         for group, value in rows:
             count, total = expected.get(group, (0, 0))
@@ -123,11 +119,8 @@ class TestAggregateProperties:
     @given(rows=_int_rows)
     @settings(max_examples=100, deadline=None)
     def test_min_max_bound_the_data(self, rows):
-        out = aggregate_rows(
-            rows, None,
-            [AggSpec("min", lambda r: r[1]), AggSpec("max", lambda r: r[1])],
-            WorkMeter(),
-        )
+        kernel = compile_agg_kernel((), [("min", col(1), False), ("max", col(1), False)])
+        out = aggregate_batch(rows, kernel, WorkMeter())
         (minimum, maximum), = [tuple(row) for row in out]
         if rows:
             assert minimum == min(r[1] for r in rows)
