@@ -179,10 +179,10 @@ class OneFragmentManager(PoolProcess):
             self.wal.append(record)
 
     def txn_insert(self, txn_id: int, row: Row) -> int:
-        validated = self.table.schema.validate_row(row)
-        rid = self.table.insert(validated)
-        self._log(InsertRecord(txn_id, rid, validated))
-        self._undo.setdefault(txn_id, []).append(("insert", rid, validated))
+        rid = self.table.insert(row)
+        stored = self.table.get(rid)
+        self._log(InsertRecord(txn_id, rid, stored))
+        self._undo.setdefault(txn_id, []).append(("insert", rid, stored))
         self._charge_disk_touch(1)
         self._charge_meter(WorkMeter(tuples=1))
         return rid

@@ -42,11 +42,17 @@ class _IndexBase:
 
 
 class HashIndex(_IndexBase):
-    """Hash index: key tuple -> set of row ids."""
+    """Hash index: key tuple -> set of row ids.
+
+    The entry count is maintained by :meth:`insert`/:meth:`delete`, so
+    ``len()`` and :meth:`estimated_bytes` are O(1): the owning table
+    re-accounts its footprint on every mutation.
+    """
 
     def __init__(self, name: str, key_positions: Sequence[int], unique: bool = False):
         super().__init__(name, key_positions, unique)
         self._buckets: dict[Key, list[int]] = {}
+        self._count = 0
 
     def insert(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
@@ -56,6 +62,7 @@ class HashIndex(_IndexBase):
                 f"unique index {self.name!r} already has key {key!r}"
             )
         bucket.append(rid)
+        self._count += 1
 
     def delete(self, rid: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
@@ -66,6 +73,7 @@ class HashIndex(_IndexBase):
             bucket.remove(rid)
         except ValueError:
             return
+        self._count -= 1
         if not bucket:
             del self._buckets[key]
 
@@ -74,7 +82,7 @@ class HashIndex(_IndexBase):
         return list(self._buckets.get(tuple(key), ()))
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return self._count
 
     def keys(self) -> Iterator[Key]:
         return iter(self._buckets)

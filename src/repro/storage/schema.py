@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import is_
 from typing import Any
 
 from repro.errors import StorageError
@@ -31,6 +33,22 @@ class Column:
 
     def with_name(self, name: str) -> "Column":
         return Column(name, self.data_type, self.nullable)
+
+
+@dataclass(frozen=True)
+class _RowPlan:
+    """What a schema precomputes for its per-row work.
+
+    *types* holds each column's exact Python type (``object`` for ANY
+    columns, which no value has, so those rows always take the general
+    path); *fixed_bytes* is the summed width of the INT/FLOAT/BOOL
+    columns; *sized* pairs the position and type of every STRING/ANY
+    column, whose size depends on the value.
+    """
+
+    types: tuple[type, ...]
+    fixed_bytes: int
+    sized: tuple[tuple[int, DataType], ...]
 
 
 class Schema:
@@ -96,8 +114,33 @@ class Schema:
 
     # -- row operations -----------------------------------------------------------
 
+    @cached_property
+    def _row_plan(self) -> _RowPlan:
+        # Built on first use, not in __init__: the planner makes many
+        # short-lived schemas that never see a row.
+        sized = []
+        fixed_bytes = 0
+        for position, column in enumerate(self.columns):
+            if column.data_type in (DataType.STRING, DataType.ANY):
+                sized.append((position, column.data_type))
+            else:
+                fixed_bytes += column.data_type.size_of(0)  # width is value-independent
+        return _RowPlan(
+            tuple(column.data_type.python_type for column in self.columns),
+            fixed_bytes,
+            tuple(sized),
+        )
+
     def validate_row(self, row: Sequence[Any]) -> Row:
-        """Coerce *row* to this schema; raises on arity/type/null errors."""
+        """Coerce *row* to this schema; raises on arity/type/null errors.
+
+        Always returns a new tuple, never *row* itself.
+        """
+        types = self._row_plan.types
+        if len(row) == len(types) and all(map(is_, map(type, row), types)):
+            # Every value already has its column's exact type: nothing to
+            # coerce, and no None, so no nullability to check.
+            return (*row,)
         if len(row) != len(self.columns):
             raise StorageError(
                 f"row has {len(row)} values, schema has {len(self.columns)} columns"
@@ -111,6 +154,11 @@ class Schema:
 
     def row_bytes(self, row: Sequence[Any]) -> int:
         """Storage footprint of one row under the size model."""
+        plan = self._row_plan
+        if len(row) == len(plan.types) and None not in row:
+            return plan.fixed_bytes + sum(
+                data_type.size_of(row[position]) for position, data_type in plan.sized
+            )
         return sum(
             column.data_type.size_of(value)
             for column, value in zip(self.columns, row)

@@ -68,8 +68,7 @@ class Table:
         validated = self.schema.validate_row(row)
         rid = self._next_rid
         # Index first: a unique violation must not leave a stored row.
-        for index in self.indexes.values():
-            index.insert(rid, validated)
+        self._index_row(rid, validated)
         self._next_rid += 1
         self._rows[rid] = validated
         self._data_bytes += self.schema.row_bytes(validated)
@@ -84,6 +83,19 @@ class Table:
             raise
         return rid
 
+    def _index_row(self, rid: int, row: Row) -> None:
+        """Add *rid* to every index, or to none: if one index rejects the
+        row (a unique violation), the entries already added are removed."""
+        added: list[Index] = []
+        try:
+            for index in self.indexes.values():
+                index.insert(rid, row)
+                added.append(index)
+        except Exception:
+            for index in added:
+                index.delete(rid, row)
+            raise
+
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
         return [self.insert(row) for row in rows]
 
@@ -92,8 +104,7 @@ class Table:
         if rid in self._rows:
             raise StorageError(f"row id {rid} already present in {self.name!r}")
         validated = self.schema.validate_row(row)
-        for index in self.indexes.values():
-            index.insert(rid, validated)
+        self._index_row(rid, validated)
         self._rows[rid] = validated
         self._next_rid = max(self._next_rid, rid + 1)
         self._data_bytes += self.schema.row_bytes(validated)
@@ -116,13 +127,10 @@ class Table:
         for index in self.indexes.values():
             index.delete(rid, old_row)
         try:
-            for index in self.indexes.values():
-                index.insert(rid, validated)
+            self._index_row(rid, validated)
         except Exception:
             # Restore old index entries before propagating.
-            for index in self.indexes.values():
-                index.delete(rid, validated)
-                index.insert(rid, old_row)
+            self._index_row(rid, old_row)
             raise
         self._rows[rid] = validated
         self._data_bytes += self.schema.row_bytes(validated) - self.schema.row_bytes(old_row)

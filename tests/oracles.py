@@ -6,6 +6,10 @@ loops those kernels replace, kept only as oracles: a kernel must give
 the same rows in the same order, and the same closed-form charges.
 :func:`merge_join` is an independent (sort-based) algorithm for the
 hash joins to agree with, as a multiset.
+
+:func:`validate_row` and :func:`row_bytes` are the plain per-column
+loops behind :class:`~repro.storage.schema.Schema`'s cached row plan:
+the schema must give the same row, size and error as these.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, StorageError
 from repro.exec.operators import AGGREGATE_FUNCTIONS, WorkMeter
+from repro.storage.schema import Schema
 
 Row = tuple
 KeyFn = Callable[[Row], tuple]
@@ -185,3 +190,24 @@ def aggregate_rows(
     ]
     meter.tuples += len(output)
     return output
+
+
+def validate_row(schema: Schema, row: Sequence[Any]) -> Row:
+    """Coerce *row* column by column; raises on arity/type/null errors."""
+    if len(row) != len(schema.columns):
+        raise StorageError(
+            f"row has {len(row)} values, schema has {len(schema.columns)} columns"
+        )
+    coerced = []
+    for column, value in zip(schema.columns, row):
+        if value is None and not column.nullable:
+            raise StorageError(f"column {column.name!r} is not nullable")
+        coerced.append(column.data_type.coerce(value))
+    return tuple(coerced)
+
+
+def row_bytes(schema: Schema, row: Sequence[Any]) -> int:
+    """Storage footprint of one row: the sum of its values' sizes."""
+    return sum(
+        column.data_type.size_of(value) for column, value in zip(schema.columns, row)
+    )

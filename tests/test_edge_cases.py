@@ -213,6 +213,23 @@ class TestStatementFailureSemantics:
         db.execute("INSERT INTO t VALUES (3, 30)")
         assert db.table_row_count("t") == 3
 
+    def test_duplicate_key_leaves_no_stale_entry_in_other_indexes(self):
+        from repro.errors import StorageError
+
+        db = PrismaDB(MachineConfig(n_nodes=4, disk_nodes=(0,)))
+        db.execute_script(
+            "CREATE TABLE t (id INT, g INT);"
+            " CREATE INDEX by_g ON t (g);"
+            " CREATE UNIQUE INDEX u_id ON t (id);"
+            " INSERT INTO t VALUES (1, 10);"
+        )
+        with pytest.raises(StorageError):
+            db.execute("INSERT INTO t VALUES (1, 20)")
+        # Reuses the rejected row's rid: by_g must not still map g = 20 to it.
+        db.execute("INSERT INTO t VALUES (2, 30)")
+        assert db.query("SELECT * FROM t WHERE g = 20") == []
+        assert db.query("SELECT * FROM t WHERE g = 30") == [(2, 30)]
+
     def test_multi_row_insert_is_atomic(self, db):
         from repro.errors import StorageError
 

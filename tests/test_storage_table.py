@@ -89,6 +89,32 @@ class TestIndexMaintenance:
             table.insert((1, "b"))
         assert len(table) == 1
 
+    def test_unique_violation_leaves_no_entry_in_earlier_indexes(self, schema):
+        table = Table("t", schema)
+        by_name = table.create_hash_index("by_name", ["name"])
+        by_id = table.create_ordered_index("by_id", ["id"])
+        table.create_hash_index("pk", ["id"], unique=True)
+        table.insert((1, "a"))
+        with pytest.raises(DuplicateKeyError):
+            table.insert((1, "b"))
+        for index in table.indexes.values():
+            assert len(index) == len(table) == 1
+        # The rejected row's rid is reused; no index may map it to "b".
+        rid = table.insert((2, "c"))
+        assert by_name.lookup(("b",)) == []
+        assert by_id.lookup((1,)) == [0]
+        assert by_name.lookup(("c",)) == [rid]
+
+    def test_unique_violation_on_insert_with_rid_leaves_no_entry(self, schema):
+        table = Table("t", schema)
+        by_name = table.create_hash_index("by_name", ["name"])
+        table.create_hash_index("pk", ["id"], unique=True)
+        table.insert((1, "a"))
+        with pytest.raises(DuplicateKeyError):
+            table.insert_with_rid(5, (1, "b"))
+        assert len(by_name) == len(table) == 1
+        assert by_name.lookup(("b",)) == []
+
     def test_unique_violation_on_update_restores_old_entries(self, schema):
         table = Table("t", schema)
         table.create_hash_index("pk", ["id"], unique=True)
