@@ -21,7 +21,11 @@ from repro.obs.api import Observatory
 from repro.obs.tracer import Tracer
 from repro.algebra.optimizer import OptimizerOptions
 from repro.core.faults import FaultInjector
-from repro.core.gdh import GlobalDataHandler, SessionState
+from repro.core.gdh import (
+    NOMINAL_STATEMENT_TOKENS,
+    GlobalDataHandler,
+    SessionState,
+)
 from repro.core.recovery import (
     CrashReport,
     InDoubtResolution,
@@ -30,6 +34,7 @@ from repro.core.recovery import (
 )
 from repro.core.result import QueryResult
 from repro.pool.runtime import PoolRuntime
+from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_script
 
 
@@ -63,18 +68,22 @@ class Session:
         return self._db.gdh.execute_sql(sql, self._state)
 
     def execute_statement(
-        self, statement, sql_text: str = "", cached: bool = False
+        self,
+        statement,
+        tokens: int = NOMINAL_STATEMENT_TOKENS,
+        cached: bool = False,
     ) -> QueryResult:
         """Run one already-parsed statement through the GDH entry point.
 
         Scripts and the serving layer use this instead of calling the
         GDH directly, so per-statement accounting and admission control
-        see every statement regardless of how it arrived.  ``cached``
-        marks a plan-cache hit: the simulated front-end charge collapses
-        to one cache lookup.
+        see every statement regardless of how it arrived.  ``tokens`` is
+        the statement text's token count (the simulated parse charge's
+        basis); ``cached`` marks a plan-cache hit: the simulated
+        front-end charge collapses to one cache lookup.
         """
         return self._db.gdh.execute_statement(
-            statement, self._state, sql_text, cached
+            statement, self._state, tokens, cached
         )
 
     def query(self, sql: str) -> list[tuple]:
@@ -233,7 +242,7 @@ class PrismaDB:
                     for fragment in info.fragments:
                         resources.append((info.name, fragment.fragment_id))
             gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, program, None)
+            gdh._charge_frontend(process, _prismalog_tokens(program), None)
             # Gather EDB relations to the query process.
             for name in sorted(referenced):
                 if not gdh.catalog.has_table(name):
@@ -312,7 +321,7 @@ class PrismaDB:
                 for shared in optimized.shared:
                     resources.extend(gdh._scan_resources(shared.plan))
             gdh._lock(txn, state, process, resources, LockMode.SHARED)
-            gdh._charge_frontend(process, program_text, None)
+            gdh._charge_frontend(process, _prismalog_tokens(program_text), None)
             results = []
             for query, optimized in optimized_queries:
                 rows, report = gdh.executor.execute(optimized, process)
@@ -480,3 +489,14 @@ class PrismaDB:
     def simulated_time(self) -> float:
         """The machine-wide simulated clock horizon."""
         return self.runtime.horizon()
+
+
+def _prismalog_tokens(program: str) -> int:
+    """Parse-charge basis of PRISMAlog text: the SQL lexer's token count
+    where it lexes, else an estimate by length (a different lexer)."""
+    if not program:
+        return NOMINAL_STATEMENT_TOKENS
+    try:
+        return len(tokenize(program))
+    except PrismaError:
+        return max(NOMINAL_STATEMENT_TOKENS, len(program) // 5)

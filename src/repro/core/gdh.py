@@ -46,7 +46,7 @@ from repro.pool.runtime import PoolRuntime
 from repro.sql import ast as sql_ast
 from repro.sql.binder import Binder
 from repro.sql.lexer import tokenize
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_tokens
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
@@ -57,6 +57,9 @@ OPTIMIZE_COST_PER_NODE_S = 2e-4
 #: the GDH, replacing the parse + optimize charges above (the E5/E8
 #: compiler caches showed the same shape at expression granularity).
 PLAN_CACHE_HIT_COST_S = 2e-5
+#: Parse-charge basis, in tokens, of a statement that arrives without its
+#: text (``execute_script``'s statements, a hand-built AST).
+NOMINAL_STATEMENT_TOKENS = 8
 #: Wire size of a shipped DML statement / row batch header.
 STATEMENT_BYTES = 256
 
@@ -190,14 +193,15 @@ class GlobalDataHandler:
     # -- statement entry point ---------------------------------------------------------
 
     def execute_sql(self, text: str, session: SessionState) -> QueryResult:
-        statement = parse_statement(text)
-        return self.execute_statement(statement, session, sql_text=text)
+        tokens = tokenize(text)
+        statement = parse_tokens(tokens)
+        return self.execute_statement(statement, session, len(tokens))
 
     def execute_statement(
         self,
         statement: sql_ast.Statement | PreparedSelect,
         session: SessionState,
-        sql_text: str = "",
+        tokens: int = NOMINAL_STATEMENT_TOKENS,
         cached: bool = False,
     ) -> QueryResult:
         """The single statement entry point.
@@ -210,13 +214,15 @@ class GlobalDataHandler:
         processes overlap in simulated time: a statement arriving while
         all slots are busy starts at the earliest slot-release time,
         FIFO, and the wait is charged to the session's clock.
+        *tokens* is the statement text's token count, the basis of the
+        simulated parse charge.
         """
         session.statements += 1
         ticket = None
         if self.admission is not None:
             ticket = self.admission.admit(session)
         try:
-            return self._dispatch_statement(statement, session, sql_text, cached)
+            return self._dispatch_statement(statement, session, tokens, cached)
         finally:
             if ticket is not None:
                 self.admission.release(ticket, session.clock)
@@ -225,19 +231,19 @@ class GlobalDataHandler:
         self,
         statement: sql_ast.Statement | PreparedSelect,
         session: SessionState,
-        sql_text: str,
+        tokens: int,
         cached: bool,
     ) -> QueryResult:
         if isinstance(statement, PreparedSelect):
-            return self._run_prepared_select(statement, session, sql_text, cached)
+            return self._run_prepared_select(statement, session, tokens, cached)
         if isinstance(statement, sql_ast.SelectStmt | sql_ast.SetOpStmt):
-            return self._run_select(statement, session, sql_text)
+            return self._run_select(statement, session, tokens)
         if isinstance(statement, sql_ast.InsertStmt):
-            return self._run_insert(statement, session, sql_text)
+            return self._run_insert(statement, session, tokens)
         if isinstance(statement, sql_ast.UpdateStmt):
-            return self._run_update(statement, session, sql_text)
+            return self._run_update(statement, session, tokens)
         if isinstance(statement, sql_ast.DeleteStmt):
-            return self._run_delete(statement, session, sql_text)
+            return self._run_delete(statement, session, tokens)
         if isinstance(statement, sql_ast.CreateTableStmt):
             return self._create_table(statement, session)
         if isinstance(statement, sql_ast.CreateIndexStmt):
@@ -694,16 +700,8 @@ class GlobalDataHandler:
         return Optimizer(self.catalog.statistics(), self.optimizer_options)
 
     def _charge_frontend(
-        self, process: PoolProcess, sql_text: str, plan_nodes: int | None
+        self, process: PoolProcess, tokens: int, plan_nodes: int | None
     ) -> None:
-        if sql_text:
-            try:
-                tokens = len(tokenize(sql_text))
-            except PrismaError:
-                # PRISMAlog text (different lexer): estimate by length.
-                tokens = max(8, len(sql_text) // 5)
-        else:
-            tokens = 8
         process.charge(tokens * PARSE_COST_PER_TOKEN_S)
         if plan_nodes is not None:
             process.charge(plan_nodes * OPTIMIZE_COST_PER_NODE_S)
@@ -766,16 +764,16 @@ class GlobalDataHandler:
         self,
         statement: sql_ast.SelectStmt | sql_ast.SetOpStmt,
         session: SessionState,
-        sql_text: str,
+        tokens: int,
     ) -> QueryResult:
         prepared = self.prepare_select(statement)
-        return self._run_prepared_select(prepared, session, sql_text, cached=False)
+        return self._run_prepared_select(prepared, session, tokens, cached=False)
 
     def _run_prepared_select(
         self,
         prepared: PreparedSelect,
         session: SessionState,
-        sql_text: str,
+        tokens: int,
         cached: bool,
     ) -> QueryResult:
         if prepared.ddl_epoch != self.ddl_epoch:
@@ -795,7 +793,7 @@ class GlobalDataHandler:
                 # the whole simulated parse/optimize front end.
                 process.charge(PLAN_CACHE_HIT_COST_S)
             else:
-                self._charge_frontend(process, sql_text, prepared.frontend_nodes)
+                self._charge_frontend(process, tokens, prepared.frontend_nodes)
             try:
                 rows, report = self.executor.execute(optimized, process)
             except PrismaError:
@@ -837,7 +835,7 @@ class GlobalDataHandler:
     # -- DML -------------------------------------------------------------------------------------
 
     def _run_insert(
-        self, statement: sql_ast.InsertStmt, session: SessionState, sql_text: str
+        self, statement: sql_ast.InsertStmt, session: SessionState, tokens: int
     ) -> QueryResult:
         bound = self._binder().bind_insert(statement)
         info = self.catalog.table(bound.table)
@@ -849,7 +847,7 @@ class GlobalDataHandler:
         try:
             resources = [(info.name, fid) for fid in routed]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, tokens, None)
         except PrismaError:
             self._finish_query(session, process)
             raise
@@ -901,7 +899,7 @@ class GlobalDataHandler:
         return [fragment.fragment_id for fragment in info.fragments]
 
     def _run_update(
-        self, statement: sql_ast.UpdateStmt, session: SessionState, sql_text: str
+        self, statement: sql_ast.UpdateStmt, session: SessionState, tokens: int
     ) -> QueryResult:
         bound = self._binder().bind_update(statement)
         info = self.catalog.table(bound.table)
@@ -918,7 +916,7 @@ class GlobalDataHandler:
                 fragment_ids = self._target_fragments(info, bound.predicate)
             resources = [(info.name, fid) for fid in fragment_ids]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, tokens, None)
         except PrismaError:
             self._finish_query(session, process)
             raise
@@ -978,7 +976,7 @@ class GlobalDataHandler:
             self._finish_query(session, process)
 
     def _run_delete(
-        self, statement: sql_ast.DeleteStmt, session: SessionState, sql_text: str
+        self, statement: sql_ast.DeleteStmt, session: SessionState, tokens: int
     ) -> QueryResult:
         bound = self._binder().bind_delete(statement)
         info = self.catalog.table(bound.table)
@@ -988,7 +986,7 @@ class GlobalDataHandler:
             fragment_ids = self._target_fragments(info, bound.predicate)
             resources = [(info.name, fid) for fid in fragment_ids]
             self._lock(txn, session, process, resources, LockMode.EXCLUSIVE)
-            self._charge_frontend(process, sql_text, None)
+            self._charge_frontend(process, tokens, None)
         except PrismaError:
             self._finish_query(session, process)
             raise

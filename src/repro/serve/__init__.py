@@ -6,8 +6,11 @@ package is the client-facing half of that story for the simulator:
 
 * :class:`Connection` / :class:`Cursor` — a PEP 249-shaped surface over
   :class:`~repro.core.database.Session`, with ``?`` parameter binding;
+* :class:`Template` — one statement text lexed and parsed once, with
+  each ``?`` a ``Param`` node that binding replaces;
 * :class:`PlanCache` — GDH-level statement→plan cache (structural keys,
-  DDL invalidation), so repeated statements skip parse + optimize;
+  DDL invalidation), so repeated statements skip parse + optimize; it
+  also keeps the templates, by text;
 * :class:`AdmissionQueue` — bounded concurrent query processes with
   deterministic simulated-time FIFO waits.
 
@@ -24,7 +27,7 @@ from repro.serve.dbapi import (
     connect,
     install_serving,
 )
-from repro.serve.params import bind_parameters, statement_key, template_tokens
+from repro.serve.params import Template
 from repro.serve.plancache import PlanCache
 
 __all__ = [
@@ -33,9 +36,7 @@ __all__ = [
     "Cursor",
     "PlanCache",
     "PreparedStatement",
-    "bind_parameters",
+    "Template",
     "connect",
     "install_serving",
-    "statement_key",
-    "template_tokens",
 ]

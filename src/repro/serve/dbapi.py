@@ -7,12 +7,14 @@ pretending to be a driver: there is no network, rows are already
 materialized tuples, and simulated time lives on the underlying session.
 
 Every statement funnels through the plan cache installed on the GDH
-(:func:`install_serving`): the bound token stream is the cache key, a
-hit replays the cached :class:`~repro.core.gdh.PreparedSelect` (charging
-one cache lookup instead of parse + optimize), a miss parses/prepares
-and populates the cache.  Prepared statements
-(:meth:`Connection.prepare`) additionally skip re-tokenizing the
-template on the host.
+(:func:`install_serving`).  Its text is looked up as a
+:class:`~repro.serve.params.Template` (lexed and parsed on first sight
+only); the values are checked and bound into the template's key; a hit
+replays the cached :class:`~repro.core.gdh.PreparedSelect` (charging one
+cache lookup instead of parse + optimize), a miss binds the values into
+a fresh copy of the template's tree, prepares it and populates the
+cache.  ``execute``, ``executemany`` and :meth:`Connection.prepare` share
+that one path; a prepared statement is a handle on the shared template.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from collections.abc import Iterable, Sequence
 from repro.errors import InterfaceError
 from repro.core.gdh import PreparedSelect
 from repro.serve.admission import AdmissionQueue
-from repro.serve.params import bind_parameters, statement_key, template_tokens
+from repro.serve.params import Template
 from repro.serve.plancache import DEFAULT_CAPACITY, PlanCache
 from repro.sql import ast as sql_ast
-from repro.sql.lexer import Token
-from repro.sql.parser import parse_tokens
 
 __all__ = ["Connection", "Cursor", "PreparedStatement", "connect", "install_serving"]
 
@@ -138,20 +138,24 @@ class Connection:
         return self.cursor().execute(sql, params)
 
     def prepare(self, sql: str) -> "PreparedStatement":
-        """Tokenize *sql* once for repeated parameterized execution."""
+        """Parse *sql* (or reuse its template) for repeated execution."""
         self._check_open()
-        return PreparedStatement(self, sql, template_tokens(sql))
+        return PreparedStatement(self, self._template(sql))
 
-    def _run_tokens(self, tokens: list[Token], params, sql_text: str):
-        """The one execution path: bind → cache lookup → GDH entry point."""
+    def _template(self, sql: str) -> Template:
+        cache = self._db.gdh.plan_cache
+        return cache.template(sql) if cache is not None else Template(sql)
+
+    def _run_template(self, template: Template, params):
+        """The one execution path: check → key → cache lookup → GDH."""
         self._check_open()
-        bound = bind_parameters(tokens, params)
+        values = template.check(params)
         gdh = self._db.gdh
         cache = gdh.plan_cache
-        key = statement_key(bound)
+        key = template.key(values)
         entry = cache.get(key) if cache is not None else None
         cached = entry is not None
-        statement = entry if cached else parse_tokens(bound)
+        statement = entry if cached else template.bind(values)
         if not self.autocommit and not self._session.in_transaction:
             shape = (
                 statement.statement
@@ -165,20 +169,26 @@ class Connection:
                 statement = gdh.prepare_select(statement)
             if cache is not None:
                 cache.put(key, statement)
-        return self._session.execute_statement(statement, sql_text, cached)
+        return self._session.execute_statement(
+            statement, template.token_count, cached
+        )
 
 
 class PreparedStatement:
-    """A statement template lexed once; bind and run with ``execute``."""
+    """A handle on a parsed statement template; bind and run with
+    ``execute``."""
 
-    def __init__(self, connection: Connection, sql: str, tokens: list[Token]):
+    def __init__(self, connection: Connection, template: Template):
         self._connection = connection
-        self.sql = sql
-        self._tokens = tokens
+        self._template = template
+
+    @property
+    def sql(self) -> str:
+        return self._template.sql
 
     def execute(self, params: Sequence | None = None) -> "Cursor":
         cursor = self._connection.cursor()
-        return cursor._run(self._tokens, params, self.sql)
+        return cursor._run(self._template, params)
 
 
 class Cursor:
@@ -206,28 +216,28 @@ class Cursor:
     def execute(self, sql: str, params: Sequence | None = None) -> "Cursor":
         """Run one statement; ``?`` placeholders bind from *params*."""
         self._check_open()
-        return self._run(template_tokens(sql), params, sql)
+        return self._run(self._connection._template(sql), params)
 
     def executemany(
         self, sql: str, seq_of_params: Iterable[Sequence]
     ) -> "Cursor":
-        """Run *sql* once per parameter tuple (template lexed once).
+        """Run *sql* once per parameter tuple.
 
         ``rowcount`` totals the affected rows; any result rows are
         discarded, per PEP 249.
         """
         self._check_open()
-        tokens = template_tokens(sql)
+        template = self._connection._template(sql)
         affected = 0
         for params in seq_of_params:
-            result = self._connection._run_tokens(tokens, params, sql)
+            result = self._connection._run_template(template, params)
             affected += max(result.affected_rows, 0)
         self._reset_result()
         self.rowcount = affected
         return self
 
-    def _run(self, tokens: list[Token], params, sql_text: str) -> "Cursor":
-        result = self._connection._run_tokens(tokens, params, sql_text)
+    def _run(self, template: Template, params) -> "Cursor":
+        result = self._connection._run_template(template, params)
         self._reset_result()
         self.result = result
         if result.columns:

@@ -2,22 +2,32 @@
 
 The same structural-hash idea as the OFM's
 :class:`~repro.exec.compiler.ExpressionCompilerCache`, lifted from
-expression granularity to whole statements: the key is the bound token
-stream (:func:`repro.serve.params.statement_key`), so a hit returns a
-plan compiled for *exactly* this statement, literals and all.  SELECTs
-cache a :class:`~repro.core.gdh.PreparedSelect` (bind + optimize
-product); other statements cache their parsed AST, which skips the
-host-side parse but not the simulated front-end charge — only a cached
-*plan* earns the cache-hit discount.
+expression granularity to whole statements: the key is the statement's
+token stream with every bound value in place
+(:meth:`repro.serve.params.Template.key`), so a hit returns a plan
+compiled for *exactly* this statement, literals and all.  SELECTs cache
+a :class:`~repro.core.gdh.PreparedSelect` (bind + optimize product);
+other statements cache their bound AST, which skips the host-side
+binding but not the simulated front-end charge — only a cached *plan*
+earns the cache-hit discount.
+
+Beside the plans it keeps the statement *templates*
+(:class:`~repro.serve.params.Template`), keyed by SQL text: the GDH's
+parser runs once per distinct text, as the OFM compiles a routine once
+and reuses it.  Template traffic has its own counters
+(``template_hits``/``template_misses``); ``lookups``, ``hits``,
+``misses`` and ``entries`` count plans only.
 
 Invalidation is wholesale on DDL: the GDH bumps its ``ddl_epoch`` and
-calls :meth:`PlanCache.invalidate`, dropping every entry.  Finer-grained
+calls :meth:`PlanCache.invalidate`, dropping every plan.  Finer-grained
 invalidation (per touched table) is not worth the bookkeeping at this
-scale — DDL is rare in every workload we model.
+scale — DDL is rare in every workload we model.  Templates survive DDL:
+parsing reads no catalog.
 
-Capacity is bounded FIFO: when full, the oldest entry (Python dicts are
-insertion-ordered) is evicted.  Deterministic, and good enough for the
-repeated-template workloads the cache exists for.
+Capacity is bounded FIFO, for plans and templates each: when full, the
+oldest entry (Python dicts are insertion-ordered) is evicted.
+Deterministic, and good enough for the repeated-template workloads the
+cache exists for.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.api import SnapshotMixin
+from repro.serve.params import Template
 
 __all__ = ["PlanCache"]
 
@@ -35,18 +46,22 @@ DEFAULT_CAPACITY = 1024
 
 
 class PlanCache(SnapshotMixin):
-    """Bounded statement→plan cache with epoch invalidation."""
+    """Bounded statement→plan cache with epoch invalidation, plus the
+    text→template cache of the statements it has seen."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
         self.capacity = capacity
         self._entries: dict[tuple, Any] = {}
+        self._templates: dict[str, Template] = {}
         self.lookups = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        self.template_hits = 0
+        self.template_misses = 0
 
     @property
     def hit_rate(self) -> float:
@@ -76,8 +91,25 @@ class PlanCache(SnapshotMixin):
             self.evictions += 1
         self._entries[key] = entry
 
+    def template(self, sql: str) -> Template:
+        """The parsed template of *sql*, lexed and parsed on first sight.
+
+        Raises :class:`~repro.errors.ParseError` for text that does not
+        parse (nothing is cached then).
+        """
+        template = self._templates.get(sql)
+        if template is not None:
+            self.template_hits += 1
+            return template
+        self.template_misses += 1
+        template = Template(sql)
+        if len(self._templates) >= self.capacity:
+            del self._templates[next(iter(self._templates))]
+        self._templates[sql] = template
+        return template
+
     def invalidate(self, ddl_epoch: int) -> None:
-        """Drop everything: DDL moved schemas or fragment placement.
+        """Drop every plan: DDL moved schemas or fragment placement.
 
         Called by the GDH's ``_ddl_changed`` with the new epoch; the
         epoch itself lives on the GDH (and inside each cached
@@ -98,12 +130,18 @@ class PlanCache(SnapshotMixin):
             "hit_rate": self.hit_rate,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
+            "templates": len(self._templates),
+            "template_hits": self.template_hits,
+            "template_misses": self.template_misses,
         }
 
     def reset(self) -> None:
         self._entries.clear()
+        self._templates.clear()
         self.lookups = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        self.template_hits = 0
+        self.template_misses = 0

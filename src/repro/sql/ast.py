@@ -37,6 +37,18 @@ class Lit(SqlExpr):
 
 
 @dataclass(frozen=True)
+class Param(SqlExpr):
+    """The *index*-th ``?`` of a statement template (0-based).
+
+    Only :func:`repro.sql.parser.parse_template` produces these, and the
+    serving layer replaces each one with its bound value before the
+    statement reaches the binder.
+    """
+
+    index: int
+
+
+@dataclass(frozen=True)
 class Bin(SqlExpr):
     """Binary operator: comparisons, arithmetic, AND/OR."""
 

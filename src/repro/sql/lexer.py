@@ -28,9 +28,9 @@ KEYWORDS = frozenset(
 
 MULTI_CHAR_OPERATORS = ("<>", "!=", "<=", ">=")
 #: ``?`` is the DBAPI parameter placeholder (repro.serve); it lexes like
-#: any operator so the serving layer can splice bound values into the
-#: token stream, but the parser rejects it — an unbound placeholder must
-#: fail with a position, not silently reach the binder.
+#: any operator.  Only ``parse_template`` accepts it (as a ``Param``
+#: node); ``parse_statement`` rejects it, so an unbound placeholder
+#: fails with a position instead of silently reaching the binder.
 SINGLE_CHAR_TOKENS = "+-*/%(),.;=<>?"
 
 

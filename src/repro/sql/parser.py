@@ -8,6 +8,8 @@ transitive-closure operator surfaced in SQL).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import ParseError
 from repro.sql.ast import (
     AggCall,
@@ -33,6 +35,7 @@ from repro.sql.ast import (
     LikeExpr,
     Lit,
     Name,
+    Param,
     RollbackStmt,
     SelectItem,
     SelectStmt,
@@ -55,27 +58,54 @@ COMPARISON_OPS = frozenset(("=", "<>", "<", "<=", ">", ">="))
 
 def parse_statement(text: str) -> Statement:
     """Parse exactly one statement (a trailing ``;`` is allowed)."""
-    parser = _Parser(tokenize(text))
-    statement = parser.statement()
-    parser.accept_operator(";")
-    parser.expect_eof()
-    return statement
+    return parse_tokens(tokenize(text))
 
 
 def parse_tokens(tokens: list[Token]) -> Statement:
     """Parse exactly one statement from an already-lexed token stream.
 
-    Used by the serving layer (:mod:`repro.serve`), which tokenizes a
-    statement template once and splices bound parameter values into the
-    token list — re-rendering SQL text only to re-tokenize it would
-    throw that work away.  The list must end with an EOF token, as
-    :func:`~repro.sql.lexer.tokenize` produces.
+    The GDH lexes once and reuses the token count for the simulated
+    front-end charge.  The list must end with an EOF token, as
+    :func:`~repro.sql.lexer.tokenize` produces.  A ``?`` is rejected
+    with its position.
     """
-    parser = _Parser(tokens)
-    statement = parser.statement()
-    parser.accept_operator(";")
-    parser.expect_eof()
-    return statement
+    return _Parser(tokens).single_statement()
+
+
+@dataclass(frozen=True, slots=True)
+class Slot:
+    """One ``?`` of a statement template and what the grammar takes there.
+
+    ``kind`` is the token the grammar needed at that spot, which also
+    says how a bound value enters the tree:
+
+    * ``expr`` — an expression primary: any literal, as ``Lit(value)``;
+    * ``literal`` — an IN-list value or RANGE boundary: any literal;
+    * ``negative`` — ``-?`` in such a list: a number, negated;
+    * ``pattern`` — a LIKE pattern: a string;
+    * ``integer`` — LIMIT, OFFSET, a fragment or replica count, a type
+      length: an int;
+    * ``null`` — ``IS [NOT] ?``: only NULL (it leaves no node).
+
+    ``expected`` is the parser's error message for any other token there.
+    """
+
+    kind: str
+    expected: str
+    line: int
+    column: int
+
+
+def parse_template(tokens: list[Token]) -> tuple[Statement, list[Slot]]:
+    """Parse one statement template; each ``?`` becomes a ``Param``.
+
+    ``?`` is accepted wherever the grammar takes a literal token (see
+    :class:`Slot`).  Returns the tree and one slot per ``?``, in text
+    order; ``Param(i)`` stands for the value bound to slot ``i``.
+    """
+    slots: list[Slot] = []
+    statement = _Parser(tokens, slots).single_statement()
+    return statement, slots
 
 
 def parse_script(text: str) -> list[Statement]:
@@ -91,9 +121,17 @@ def parse_script(text: str) -> list[Statement]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], slots: list[Slot] | None = None):
         self.tokens = tokens
         self.position = 0
+        #: Template mode when not None: each ``?`` taken appends a slot.
+        self.slots = slots
+
+    def single_statement(self) -> Statement:
+        statement = self.statement()
+        self.accept_operator(";")
+        self.expect_eof()
+        return statement
 
     # -- token plumbing ---------------------------------------------------------
 
@@ -146,12 +184,25 @@ class _Parser:
             return str(token.value)
         raise self.error(f"expected {what}")
 
-    def expect_integer(self, what: str = "integer") -> int:
+    def expect_integer(self, what: str = "integer") -> int | Param:
         token = self.peek()
         if token.type is TokenType.NUMBER and isinstance(token.value, int):
             self.advance()
             return token.value
-        raise self.error(f"expected {what}")
+        return self.placeholder("integer", f"expected {what}")
+
+    def placeholder(self, kind: str, expected: str) -> Param:
+        """A ``?`` standing for the *kind* of literal token needed here.
+
+        Only a template takes one; otherwise (or with no ``?`` here) this
+        raises the parser's error *expected*.
+        """
+        token = self.peek()
+        if self.slots is None or not token.matches(TokenType.OPERATOR, "?"):
+            raise self.error(expected)
+        self.advance()
+        self.slots.append(Slot(kind, expected, token.line, token.column))
+        return Param(len(self.slots) - 1)
 
     def expect_eof(self) -> None:
         if not self.at_eof():
@@ -542,7 +593,8 @@ class _Parser:
             return Bin(operator, left, self.additive())
         if self.accept_keyword("is"):
             negated = bool(self.accept_keyword("not"))
-            self.expect_keyword("null")
+            if not self.accept_keyword("null"):
+                self.placeholder("null", "expected NULL")
             return IsNullExpr(left, negated)
         negated = bool(self.accept_keyword("not"))
         if self.accept_keyword("in"):
@@ -554,10 +606,11 @@ class _Parser:
             return InExpr(left, tuple(values), negated)
         if self.accept_keyword("like"):
             token = self.peek()
-            if token.type is not TokenType.STRING:
-                raise self.error("LIKE expects a string pattern")
-            self.advance()
-            return LikeExpr(left, str(token.value), negated)
+            if token.type is TokenType.STRING:
+                self.advance()
+                return LikeExpr(left, str(token.value), negated)
+            pattern = self.placeholder("pattern", "LIKE expects a string pattern")
+            return LikeExpr(left, pattern, negated)
         if self.accept_keyword("between"):
             low = self.additive()
             self.expect_keyword("and")
@@ -609,7 +662,7 @@ class _Parser:
             return inner
         if token.type is TokenType.IDENT:
             return self.name_or_call()
-        raise self.error("expected an expression")
+        return self.placeholder("expr", "expected an expression")
 
     def name_or_call(self) -> SqlExpr:
         first = self.expect_ident()
@@ -648,7 +701,7 @@ class _Parser:
             self.advance()
             return -token.value if negative else token.value
         if negative:
-            raise self.error("expected a number after '-'")
+            return self.placeholder("negative", "expected a number after '-'")
         if token.type is TokenType.STRING:
             self.advance()
             return token.value
@@ -658,4 +711,4 @@ class _Parser:
             return True
         if self.accept_keyword("false"):
             return False
-        raise self.error("expected a literal value")
+        return self.placeholder("literal", "expected a literal value")

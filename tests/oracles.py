@@ -10,6 +10,12 @@ hash joins to agree with, as a multiset.
 :func:`validate_row` and :func:`row_bytes` are the plain per-column
 loops behind :class:`~repro.storage.schema.Schema`'s cached row plan:
 the schema must give the same row, size and error as these.
+
+:func:`splice_parse` is the serving layer's former binding path: splice
+each bound value into the template's token list as a literal token and
+parse the result.  :class:`~repro.serve.params.Template` must give the
+same tree, the same plan-cache key (:func:`statement_key`) and the same
+errors without re-lexing or re-parsing.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError, ParseError, StorageError
 from repro.exec.operators import AGGREGATE_FUNCTIONS, WorkMeter
+from repro.sql.ast import Statement
+from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.parser import parse_tokens
 from repro.storage.schema import Schema
 
 Row = tuple
@@ -211,3 +220,71 @@ def row_bytes(schema: Schema, row: Sequence[Any]) -> int:
     return sum(
         column.data_type.size_of(value) for column, value in zip(schema.columns, row)
     )
+
+
+def _literal_token(value: object, at: Token) -> Token:
+    # bool before int: it is an int subclass but binds as a keyword.
+    if value is None:
+        return Token(TokenType.KEYWORD, "null", at.line, at.column)
+    if isinstance(value, bool):
+        word = "true" if value else "false"
+        return Token(TokenType.KEYWORD, word, at.line, at.column)
+    if isinstance(value, (int, float)):
+        return Token(TokenType.NUMBER, value, at.line, at.column)
+    if isinstance(value, str):
+        return Token(TokenType.STRING, value, at.line, at.column)
+    raise ParseError(
+        f"cannot bind a {type(value).__name__} parameter"
+        " (int, float, str, bool, or None)",
+        at.line,
+        at.column,
+    )
+
+
+def bind_parameters(tokens: list[Token], params: Sequence | None) -> list[Token]:
+    """Replace each ``?`` in *tokens* with the matching literal token."""
+    values = tuple(params or ())
+    bound: list[Token] = []
+    next_param = 0
+    for token in tokens:
+        if token.type is TokenType.OPERATOR and token.value == "?":
+            if next_param >= len(values):
+                raise ParseError(
+                    f"statement has more placeholders than the"
+                    f" {len(values)} bound parameter(s)",
+                    token.line,
+                    token.column,
+                )
+            bound.append(_literal_token(values[next_param], token))
+            next_param += 1
+        else:
+            bound.append(token)
+    if next_param != len(values):
+        raise ParseError(
+            f"{len(values)} parameter(s) bound but the statement has"
+            f" only {next_param} placeholder(s)"
+        )
+    return bound
+
+
+def statement_key(tokens: list[Token]) -> tuple:
+    """Plan-cache key of a bound token stream: every token's type and
+    value, source positions excluded; a number also by its Python type
+    and exact bits (``1``, ``1.0`` and ``-0.0`` are three keys)."""
+    key = []
+    for token in tokens:
+        if token.type is TokenType.EOF:
+            continue
+        if token.type is TokenType.NUMBER:
+            value = token.value
+            exact = value.hex() if isinstance(value, float) else value
+            key.append((token.type.value, type(value), exact))
+        else:
+            key.append((token.type.value, token.value))
+    return tuple(key)
+
+
+def splice_parse(sql: str, params: Sequence | None) -> tuple[Statement, tuple, int]:
+    """Lex *sql*, splice *params* in as tokens, parse: (tree, key, tokens)."""
+    bound = bind_parameters(tokenize(sql), params)
+    return parse_tokens(bound), statement_key(bound), len(bound)

@@ -20,10 +20,8 @@ from repro.core.workload import (
 from repro.serve import (
     AdmissionQueue,
     PlanCache,
-    bind_parameters,
+    Template,
     install_serving,
-    statement_key,
-    template_tokens,
 )
 
 
@@ -72,22 +70,25 @@ class TestParams:
         ).fetchone() == (hostile,)
 
     def test_param_count_mismatch_raises(self):
-        tokens = template_tokens("SELECT v FROM kv WHERE id = ?")
+        template = Template("SELECT v FROM kv WHERE id = ?")
         with pytest.raises(ParseError, match="placeholder"):
-            bind_parameters(tokens, ())
+            template.check(())
         with pytest.raises(ParseError, match="placeholder"):
-            bind_parameters(tokens, (1, 2))
+            template.check((1, 2))
         with pytest.raises(ParseError, match="cannot bind"):
-            bind_parameters(tokens, ([1],))
+            template.check(([1],))
 
     def test_statement_key_ignores_whitespace_not_literals(self):
-        one = statement_key(template_tokens("SELECT v FROM kv WHERE id = 1"))
-        spaced = statement_key(
-            template_tokens("SELECT   v  FROM kv\n WHERE id = 1")
-        )
-        other = statement_key(template_tokens("SELECT v FROM kv WHERE id = 2"))
+        def key(sql):
+            return Template(sql).key(())
+
+        one = key("SELECT v FROM kv WHERE id = 1")
+        spaced = key("SELECT   v  FROM kv\n WHERE id = 1")
+        other = key("SELECT v FROM kv WHERE id = 2")
         assert one == spaced
         assert one != other
+        bound = Template("SELECT v FROM kv WHERE id = ?")
+        assert bound.key(bound.check((1,))) == one
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,45 @@ class TestPlanCache:
         cache.reset()
         assert cache.stats()["lookups"] == 0
         assert cache.fingerprint() != fingerprint
+
+
+class TestPlanCacheLiteralTypes:
+    """A cached plan is reused only for the literal it was compiled for:
+    ``1 == 1.0 == True`` and ``0.0 == -0.0`` in Python, but each value
+    must come back with the type (and sign) it was bound or written with."""
+
+    @staticmethod
+    def cursor():
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x FLOAT)")
+        db.execute("INSERT INTO t VALUES (1, 2.0)")
+        return db.connect().cursor()
+
+    @staticmethod
+    def exact(rows):
+        return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+    def test_bound_int_then_float(self):
+        cur = self.cursor()
+        assert self.exact(cur.execute("SELECT ?, x FROM t", (1,)).fetchall()) == (
+            self.exact([(1, 2.0)])
+        )
+        assert self.exact(cur.execute("SELECT ?, x FROM t", (1.0,)).fetchall()) == (
+            self.exact([(1.0, 2.0)])
+        )
+
+    def test_literal_int_then_float(self):
+        cur = self.cursor()
+        assert self.exact(cur.execute("SELECT 1 FROM t").fetchall()) == self.exact([(1,)])
+        assert self.exact(cur.execute("SELECT 1.0 FROM t").fetchall()) == (
+            self.exact([(1.0,)])
+        )
+
+    def test_signed_zeros_and_int_zero(self):
+        cur = self.cursor()
+        for value in (0.0, -0.0, 0):
+            rows = cur.execute("SELECT ?", (value,)).fetchall()
+            assert self.exact(rows) == self.exact([(value,)])
 
 
 # ---------------------------------------------------------------------------
