@@ -158,7 +158,7 @@ def run_element_failover(seed: int) -> dict:
 
     healthy_read = read_time()
     victim_node = db.catalog.table("t").fragments[0].node_id
-    crash_report = db.crash_element(victim_node)
+    crash_report = db.faults.crash_element(victim_node)
     degraded_read = read_time()  # replicas serve every fragment
     # Writes keep flowing during the outage (to the surviving copies).
     outage_writes = 0

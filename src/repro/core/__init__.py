@@ -5,7 +5,7 @@ from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, IndexInfo, TableInfo
 from repro.core.database import PrismaDB, Session
 from repro.core.executor import DistributedExecutor, DistRelation, ExecutionReport, Part
-from repro.core.faults import CrashPoint, FaultInjector
+from repro.core.faults import CrashPoint, CrashReport, FaultInjector
 from repro.core.fragmentation import (
     FragmentationScheme,
     HashFragmentation,
@@ -18,7 +18,6 @@ from repro.core.fragmentation import (
 from repro.core.gdh import GlobalDataHandler, SessionState
 from repro.core.locks import LockManager, LockMode, WouldBlock
 from repro.core.recovery import (
-    CrashReport,
     InDoubtResolution,
     RecoveryManager,
     RecoveryReport,

@@ -20,14 +20,13 @@ from repro.machine.machine import Machine
 from repro.obs.api import Observatory
 from repro.obs.tracer import Tracer
 from repro.algebra.optimizer import OptimizerOptions
-from repro.core.faults import FaultInjector
+from repro.core.faults import CrashReport, FaultInjector
 from repro.core.gdh import (
     NOMINAL_STATEMENT_TOKENS,
     GlobalDataHandler,
     SessionState,
 )
 from repro.core.recovery import (
-    CrashReport,
     InDoubtResolution,
     RecoveryManager,
     RecoveryReport,
@@ -391,11 +390,9 @@ class PrismaDB:
 
     @property
     def faults(self) -> FaultInjector:
+        """The database's one fault API: ``crash_element``, ``fail_link``,
+        ``scope``, ``schedule`` and the commit crash points."""
         return self.gdh.faults
-
-    def crash_element(self, node_id: int) -> CrashReport:
-        """Fail one processing element; the surviving system carries on."""
-        return self.recovery.crash_element(node_id)
 
     def restart_element(self, node_id: int) -> RecoveryReport:
         """Bring a failed element back and replay its fragment copies."""
@@ -408,12 +405,6 @@ class PrismaDB:
             if copy_node == node_id
         ]
         return self.recovery.restart_fragments(names)
-
-    def fail_link(self, node_a: int, node_b: int) -> None:
-        self.gdh.faults.fail_link(node_a, node_b)
-
-    def restore_link(self, node_a: int, node_b: int) -> None:
-        self.gdh.faults.restore_link(node_a, node_b)
 
     def resolve_in_doubt(self) -> InDoubtResolution:
         """Resolve transactions left hanging by a halted coordinator."""

@@ -299,7 +299,6 @@ class DistributedExecutor:
         ofm = self.runtime.spawn(
             OneFragmentManager,
             name=name,
-            placement=_least_busy(),
             start_at=start_at,
             schema=schema,
             profile=OFMProfile.QUERY,
@@ -1199,12 +1198,6 @@ def _remap_partition(
         return tuple(mapping[c] for c in partition_cols)
     except KeyError:
         return None
-
-
-def _least_busy():
-    from repro.pool.placement import LeastLoaded
-
-    return LeastLoaded()
 
 
 def _decompose_aggregates(aggregates: tuple[AggExpr, ...]):

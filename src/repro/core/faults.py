@@ -8,8 +8,10 @@ replayable from a seed:
 * **element crash** — one processing element goes down: every POOL-X
   process placed on it is killed (volatile state lost; later sends to
   it raise :class:`~repro.errors.ProcessCrashed`) and routes through it
-  disappear.  Durable state (WAL chunks, snapshots, the commit log) is
-  on the disk-equipped elements and survives.
+  disappear.  The GDH drops the dead fragment copies from its registry
+  and aborts every transaction that lost a participant.  Durable state
+  (WAL chunks, snapshots, the commit log) is on the disk-equipped
+  elements and survives; ``db.restart_element`` replays it.
 * **link failure** — one interconnect link goes down; traffic reroutes
   over surviving paths, or raises
   :class:`~repro.errors.LinkDownError` when the fault cuts the network.
@@ -20,9 +22,14 @@ replayable from a seed:
   the engine catches it, so the system is left exactly as the crash
   found it: prepared participants in doubt, locks held.
 
-Faults can fire immediately (:meth:`FaultInjector.crash_element`) or be
-placed on the simulated event loop (:meth:`FaultInjector.schedule`),
-which is how availability sweeps take an element down mid-workload.
+:class:`FaultInjector` (``db.faults``) is a database's one fault API.
+Faults fire immediately (:meth:`~FaultInjector.crash_element`,
+:meth:`~FaultInjector.fail_link`), for the length of a ``with`` block
+(:meth:`~FaultInjector.scope`), or from the simulated event loop
+(:meth:`~FaultInjector.schedule`, which is how availability sweeps take
+an element down mid-workload); each way an element crash is the same
+crash.  The :class:`~repro.machine.machine.Machine` methods underneath
+change routing only.
 
 Every injection is appended to a log; :meth:`FaultInjector.fingerprint`
 hashes that log so two runs with the same seed and the same driver can
@@ -32,15 +39,20 @@ RNG is a seeded ``random.Random`` — the lint rule PL002 holds here too.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import hashlib
 import random
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import InjectedCrash, MachineError
+from repro.core.transactions import TxnState
+from repro.errors import InjectedCrash, MachineError, RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.pool.runtime import PoolRuntime
+    from repro.core.gdh import GlobalDataHandler
 
 
 class CrashPoint(enum.Enum):
@@ -94,13 +106,53 @@ ABORT_POINTS = (
 )
 
 
+@dataclass
+class CrashReport:
+    """What a simulated crash destroyed."""
+
+    at_time: float
+    #: "machine" (everything) or "element" (one PE).
+    kind: str = "machine"
+    #: The failed element, for kind="element".
+    node_id: int | None = None
+    aborted_transactions: list[int] = field(default_factory=list)
+    fragments_lost: int = 0
+    #: Names of processes killed by an element crash (sorted).
+    processes_killed: list[str] = field(default_factory=list)
+
+    def stats(self) -> dict[str, float]:
+        return {
+            "at_time": self.at_time,
+            "aborted_transactions": len(self.aborted_transactions),
+            "fragments_lost": self.fragments_lost,
+            "processes_killed": len(self.processes_killed),
+        }
+
+    def fingerprint(self) -> str:
+        fields_ = (
+            self.kind,
+            self.node_id,
+            self.at_time,
+            sorted(self.aborted_transactions),
+            self.fragments_lost,
+            sorted(self.processes_killed),
+        )
+        return hashlib.sha256(repr(fields_).encode("utf-8")).hexdigest()
+
+    def reset(self) -> None:
+        self.aborted_transactions.clear()
+        self.fragments_lost = 0
+        self.processes_killed.clear()
+
+
 class FaultInjector:
     """Seeded, deterministic source of element/link/coordinator faults.
 
-    One injector serves one database instance; the GDH threads it into
-    the commit protocol, the facade exposes it as ``db.faults``.  Armed
-    crash points fire once and disarm (re-arm explicitly to crash
-    again); element/link faults persist until restored.
+    One injector serves one database instance; the GDH binds it to
+    itself and threads it into the commit protocol, the facade exposes
+    it as ``db.faults``.  Armed crash points fire once and disarm
+    (re-arm explicitly to crash again); element/link faults persist
+    until restored.
     """
 
     def __init__(self, seed: int = 0):
@@ -108,20 +160,21 @@ class FaultInjector:
         #: Seeded RNG for randomized fault schedules (PL002: the fault
         #: subsystem must be replayable from its seed).
         self.rng = random.Random(seed)
-        self.runtime: PoolRuntime | None = None
+        self.gdh: GlobalDataHandler | None = None
         #: point -> (txn filter or None, remaining hits to skip)
         self._armed: dict[CrashPoint, tuple[int | None, int]] = {}
         #: Append-only log of everything that fired, in order.
         self.injections: list[tuple[str, ...]] = []
 
-    def bind(self, runtime: PoolRuntime) -> None:
-        """Attach to the runtime whose machine/processes faults target."""
-        self.runtime = runtime
+    def bind(self, gdh: GlobalDataHandler) -> None:
+        """Attach to the GDH whose machine, processes and state faults
+        target."""
+        self.gdh = gdh
 
-    def _require_runtime(self) -> PoolRuntime:
-        if self.runtime is None:
-            raise MachineError("fault injector is not bound to a runtime")
-        return self.runtime
+    def _require_gdh(self) -> GlobalDataHandler:
+        if self.gdh is None:
+            raise MachineError("fault injector is not bound to a database")
+        return self.gdh
 
     def _log(self, *entry: str) -> None:
         self.injections.append(entry)
@@ -168,50 +221,99 @@ class FaultInjector:
 
     # -- element / link faults ------------------------------------------------
 
-    def crash_element(self, node_id: int) -> list[str]:
-        """Take one processing element down, killing its processes.
+    def crash_element(self, node_id: int) -> CrashReport:
+        """One PE fails: its processes die, the survivors carry on.
 
-        Returns the names of the killed processes (sorted).  Database-
-        level consequences — aborting transactions that lost a
-        participant, dropping dead OFMs from the registry — are driven
-        by :meth:`~repro.core.recovery.RecoveryManager.crash_element`,
-        which calls this.
+        The one element-crash path, whichever way it is triggered
+        (directly, through :meth:`scope`, or from :meth:`schedule`).
+        Fragment copies on the element leave the registry, so reads
+        fail over to replicas and writes to a copyless fragment error
+        out rather than silently diverging.  Transactions that lost a
+        participant are aborted at their live participants (their locks
+        release, so waiting work proceeds).
         """
-        runtime = self._require_runtime()
+        gdh = self._require_gdh()
+        supervisor = gdh.gdh_process.node_id
+        if node_id == supervisor:
+            raise RecoveryError(
+                "cannot crash the supervisor element"
+                f" {supervisor}: the GDH and its commit log live there"
+                " (model GDH failure as a machine-wide crash instead)"
+            )
+        runtime = gdh.runtime
+        report = CrashReport(
+            at_time=runtime.horizon(), kind="element", node_id=node_id
+        )
         runtime.machine.fail_node(node_id)
-        killed = runtime.crash_node(node_id)
-        self._log("crash_element", str(node_id), *killed)
-        return killed
+        report.processes_killed = runtime.crash_node(node_id)
+        self._log("crash_element", str(node_id), *report.processes_killed)
+        # Fragment copies on the element lose their volatile state for
+        # good; the registry must stop routing reads/writes to them.
+        dead = sorted(
+            name for name, ofm in gdh.fragment_ofms.items() if not ofm.alive
+        )
+        for name in dead:
+            ofm = gdh.fragment_ofms.pop(name)
+            ofm.halt()
+            report.fragments_lost += 1
+        # Abort every transaction that lost a participant: phase one can
+        # no longer succeed for them, and holding their locks would
+        # stall the surviving elements forever.
+        for txn_id in sorted(gdh.txns.active):
+            txn = gdh.txns.active[txn_id]
+            if all(ofm.alive for ofm in txn.participants.values()):
+                continue
+            report.aborted_transactions.append(txn_id)
+            for ofm in txn.participants.values():
+                if ofm.alive and ofm.has_transaction_state(txn_id):
+                    ofm.abort(txn_id)
+            gdh.txns.finish(txn, TxnState.ABORTED, report.at_time)
+        return report
 
     def restore_element(self, node_id: int) -> None:
         """Bring a failed element back (empty; processes are respawned
         by restart recovery, not resurrected)."""
-        self._require_runtime().machine.restore_node(node_id)
+        self._require_gdh().machine.restore_node(node_id)
         self._log("restore_element", str(node_id))
 
     def fail_link(self, u: int, v: int) -> None:
-        self._require_runtime().machine.fail_link(u, v)
+        self._require_gdh().machine.fail_link(u, v)
         self._log("fail_link", str(u), str(v))
 
     def restore_link(self, u: int, v: int) -> None:
-        self._require_runtime().machine.restore_link(u, v)
+        self._require_gdh().machine.restore_link(u, v)
         self._log("restore_link", str(u), str(v))
 
+    @contextlib.contextmanager
     def scope(
         self,
-        nodes: tuple[int, ...] | list[int] = (),
-        links: tuple[tuple[int, int], ...] | list[tuple[int, int]] = (),
-    ):
-        """Scoped faults with guaranteed restore, through the injector.
+        nodes: Sequence[int] = (),
+        links: Sequence[tuple[int, int]] = (),
+    ) -> Iterator[None]:
+        """Scoped faults with guaranteed restore.
 
-        The logged twin of :meth:`Machine.faults
-        <repro.machine.machine.Machine.faults>`: element failures also
-        crash resident processes, and every transition lands in the
-        injection log (so the scope shows up in the determinism
-        fingerprint).  ``with db.faults.scope(nodes=[3]): ...``
+        ``with db.faults.scope(nodes=[3], links=[(0, 1)]): ...`` crashes
+        the elements and cuts the links on entry, and restores them — in
+        reverse order — on exit, exception or not.  Only faults this
+        scope introduced are restored: an element or link already down
+        on entry stays down.  Every transition lands in the injection
+        log, so the scope shows up in the determinism fingerprint.
         """
-        machine = self._require_runtime().machine
-        return machine.fault_board.scope(nodes=nodes, links=links, injector=self)
+        machine = self._require_gdh().machine
+        undo: list[Callable[[], None]] = []
+        try:
+            for node_id in nodes:
+                if machine.node_is_up(node_id):
+                    self.crash_element(node_id)
+                    undo.append(functools.partial(self.restore_element, node_id))
+            for u, v in links:
+                if machine.link_is_up(u, v):
+                    self.fail_link(u, v)
+                    undo.append(functools.partial(self.restore_link, u, v))
+            yield
+        finally:
+            for restore in reversed(undo):
+                restore()
 
     # -- event-loop fault schedule -------------------------------------------
 
@@ -224,7 +326,7 @@ class FaultInjector:
         with ``runtime.run(until=...)``), so a sweep can take elements
         down and up mid-workload deterministically.
         """
-        runtime = self._require_runtime()
+        runtime = self._require_gdh().runtime
         actions = {
             "crash_element": lambda: self.crash_element(*args),
             "restore_element": lambda: self.restore_element(*args),

@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.exec.expressions import ColumnRef, Comparison, Literal, conjuncts
 from repro.algebra.optimizer import Optimizer, OptimizerOptions
 from repro.algebra.plan import PlanNode, ScanNode
-from repro.core.allocation import DataAllocationManager, FragmentPlacement
+from repro.core.allocation import DataAllocationManager
 from repro.core.catalog import Catalog, FragmentInfo, IndexInfo, TableInfo
 from repro.core.executor import DistributedExecutor
 from repro.core.faults import FaultInjector
@@ -40,7 +40,6 @@ from repro.core.result import QueryResult
 from repro.core.transactions import Transaction, TransactionManager, TxnState
 from repro.core.twophase import CommitLog, TwoPhaseCommit
 from repro.ofm.manager import OFMProfile, OneFragmentManager
-from repro.pool.placement import LeastLoaded
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import PoolRuntime
 from repro.sql import ast as sql_ast
@@ -112,7 +111,6 @@ class GlobalDataHandler:
         default_fragments: int | None = None,
         disk_resident: bool = False,
         faults: FaultInjector | None = None,
-        placement: FragmentPlacement | None = None,
     ):
         self.runtime = runtime
         #: E3 baseline switch: conventional disk-resident storage.
@@ -125,16 +123,12 @@ class GlobalDataHandler:
         #: Deterministic fault injector; a default (never-armed) one is
         #: created so the crash-point hooks cost only a None check.
         self.faults = faults or FaultInjector()
-        self.faults.bind(runtime)
+        self.faults.bind(self)
         self.two_phase = TwoPhaseCommit(
             runtime, self.commit_log, allow_one_phase, faults=self.faults
         )
-        #: Where fragment copies live is a policy decision
-        #: (:class:`~repro.core.allocation.FragmentPlacement`); the
-        #: default reproduces the historical most-free-memory spread.
-        self.allocator = DataAllocationManager(
-            self.machine, reserve_node=GDH_NODE, policy=placement
-        )
+        #: Where fragment copies live (initial placement and every move).
+        self.allocator = DataAllocationManager(self.machine, reserve_node=GDH_NODE)
         self.fragment_ofms: dict[str, OneFragmentManager] = {}
         self.compiled_expressions = compiled_expressions
         self.optimizer_options = optimizer_options or OptimizerOptions()
@@ -182,7 +176,6 @@ class GlobalDataHandler:
         return self.runtime.spawn(
             PoolProcess,
             name=f"query-{self._query_counter}-{label}",
-            placement=LeastLoaded(),
             start_at=session.clock,
         )
 
@@ -356,11 +349,11 @@ class GlobalDataHandler:
             spawn_copy(ofm_name, node_id)
             # Replica copies live on distinct elements (availability and
             # read load-balancing; Section 2.2 speaks of fragment copies);
-            # which element each copy gets is the placement policy's call.
+            # which element each copy gets is the allocator's call.
             replica_entries = []
             used_nodes = {node_id}
             for replica_index in range(1, n_copies):
-                replica_node = self.allocator.place_replica(node_id, used_nodes)
+                replica_node = self.allocator.place_replica(used_nodes)
                 used_nodes.add(replica_node)
                 replica_name = f"{name}.{fragment_id}r{replica_index}"
                 spawn_copy(replica_name, replica_node)

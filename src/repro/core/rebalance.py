@@ -36,8 +36,8 @@ buckets to fragment ids through an explicit table.  Deriving it from a
 scheme without moving a single row.
 
 Determinism: the rebalancer runs on the GDH's simulated clock, places
-fragments through the allocator's :class:`~repro.core.allocation
-.FragmentPlacement` policy, and uses no randomness — two same-seed runs
+fragments through the GDH's :class:`~repro.core.allocation
+.DataAllocationManager`, and uses no randomness — two same-seed runs
 take identical actions (the CI rebalance-determinism job diffs them).
 """
 
@@ -194,11 +194,11 @@ class RebalanceReport(SnapshotMixin):
 class Rebalancer:
     """Online fragment re-placement, supervised by the GDH.
 
-    Placement questions go to the GDH allocator's
-    :class:`~repro.core.allocation.FragmentPlacement` policy — the same
-    protocol CREATE TABLE uses — so a topology-aware policy shapes both
-    initial placement and every later move.  ``db.rebalancer`` holds one
-    per database.
+    Placement questions go to the GDH's
+    :class:`~repro.core.allocation.DataAllocationManager` — the same
+    allocator CREATE TABLE uses — so one rule shapes both initial
+    placement and every later move.  ``db.rebalancer`` holds one per
+    database.
     """
 
     def __init__(
@@ -337,7 +337,7 @@ class Rebalancer:
         """Carve half of a fragment's hash buckets into a new fragment.
 
         The new fragment gets the same copy count as its parent and a
-        home picked by the placement policy (excluding the parent's
+        home picked by the allocator (excluding the parent's
         elements, so the split actually sheds load).  Rows whose buckets
         move are bulk-copied online; the exclusive lock then covers the
         delta catch-up, pruning the moved rows out of the parent's
@@ -364,7 +364,7 @@ class Rebalancer:
         placed: list[tuple[int, str]] = [(target_node, primary_name)]
         used = parent_nodes | {target_node}
         for replica_index in range(1, 1 + len(fragment.replicas)):
-            replica_node = gdh.allocator.place_replica(target_node, used)
+            replica_node = gdh.allocator.place_replica(used)
             used.add(replica_node)
             placed.append((replica_node, f"{primary_name}r{replica_index}"))
         new_copies = [

@@ -6,9 +6,10 @@ Three failure shapes are handled:
   volatile state: every fragment table, every in-flight transaction,
   all lock state.  :meth:`RecoveryManager.restart` rebuilds from stable
   storage — data dictionary, then every durable fragment in parallel.
-* **single-element crash** (:meth:`RecoveryManager.crash_element`) — one
-  PE goes down, killing only the OFM copies placed there; transactions
-  that lost a participant abort at the survivors, reads fail over to
+* **single-element crash** (:meth:`FaultInjector.crash_element
+  <repro.core.faults.FaultInjector.crash_element>`) — one PE goes
+  down, killing only the OFM copies placed there; transactions that
+  lost a participant abort at the survivors, reads fail over to
   replica copies, and :meth:`RecoveryManager.restart_fragments` later
   replays just the lost fragments (catching up from a live sibling copy
   when one exists, since its WAL missed writes committed during the
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RecoveryError
 from repro.obs.tracer import active
-from repro.core.gdh import GDH_NODE, GlobalDataHandler
+from repro.core.faults import CrashReport
+from repro.core.gdh import GlobalDataHandler
 from repro.core.transactions import TxnState
 from repro.ofm.manager import OFMProfile, OneFragmentManager
 
@@ -79,44 +81,6 @@ def sync_copy_from(
         # destination's name must not win the next replay.
         dest.charge(dest.wal.checkpoint(rows))
     return True, dest.ready_at - before
-
-
-@dataclass
-class CrashReport:
-    """What a simulated crash destroyed."""
-
-    at_time: float
-    #: "machine" (everything) or "element" (one PE).
-    kind: str = "machine"
-    #: The failed element, for kind="element".
-    node_id: int | None = None
-    aborted_transactions: list[int] = field(default_factory=list)
-    fragments_lost: int = 0
-    #: Names of processes killed by an element crash (sorted).
-    processes_killed: list[str] = field(default_factory=list)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "at_time": self.at_time,
-            "aborted_transactions": len(self.aborted_transactions),
-            "fragments_lost": self.fragments_lost,
-            "processes_killed": len(self.processes_killed),
-        }
-
-    def fingerprint(self) -> str:
-        return _fingerprint(
-            self.kind,
-            self.node_id,
-            self.at_time,
-            sorted(self.aborted_transactions),
-            self.fragments_lost,
-            sorted(self.processes_killed),
-        )
-
-    def reset(self) -> None:
-        self.aborted_transactions.clear()
-        self.fragments_lost = 0
-        self.processes_killed.clear()
 
 
 @dataclass
@@ -242,49 +206,6 @@ class RecoveryManager:
         for ofm in gdh.fragment_ofms.values():
             ofm.crash()
             report.fragments_lost += 1
-        return report
-
-    def crash_element(self, node_id: int) -> CrashReport:
-        """One PE fails: its processes die, the survivors carry on.
-
-        Transactions that lost a participant are aborted at their live
-        participants (their locks release, so waiting work proceeds);
-        fragment copies on the element leave the registry, so reads
-        fail over to replicas and writes to a copyless fragment error
-        out rather than silently diverging.
-        """
-        gdh = self.gdh
-        if node_id == GDH_NODE:
-            raise RecoveryError(
-                "cannot crash the supervisor element"
-                f" {GDH_NODE}: the GDH and its commit log live there"
-                " (model GDH failure as a machine-wide crash instead)"
-            )
-        report = CrashReport(
-            at_time=gdh.runtime.horizon(), kind="element", node_id=node_id
-        )
-        report.processes_killed = gdh.faults.crash_element(node_id)
-        # Fragment copies on the element lose their volatile state for
-        # good; the registry must stop routing reads/writes to them.
-        dead = sorted(
-            name for name, ofm in gdh.fragment_ofms.items() if not ofm.alive
-        )
-        for name in dead:
-            ofm = gdh.fragment_ofms.pop(name)
-            ofm.halt()
-            report.fragments_lost += 1
-        # Abort every transaction that lost a participant: phase one can
-        # no longer succeed for them, and holding their locks would
-        # stall the surviving elements forever.
-        for txn_id in sorted(gdh.txns.active):
-            txn = gdh.txns.active[txn_id]
-            if all(ofm.alive for ofm in txn.participants.values()):
-                continue
-            report.aborted_transactions.append(txn_id)
-            for ofm in txn.participants.values():
-                if ofm.alive and ofm.has_transaction_state(txn_id):
-                    ofm.abort(txn_id)
-            gdh.txns.finish(txn, TxnState.ABORTED, report.at_time)
         return report
 
     # -- restart --------------------------------------------------------------

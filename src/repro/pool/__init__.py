@@ -7,14 +7,7 @@ onto processing elements.  See :class:`PoolRuntime` and
 message-passing contract at runtime when enabled.
 """
 
-from repro.pool.placement import (
-    DiskNodes,
-    LeastLoaded,
-    MostFreeMemory,
-    Pinned,
-    PlacementPolicy,
-    RoundRobin,
-)
+from repro.pool.placement import least_loaded
 from repro.pool.process import PoolProcess
 from repro.pool.runtime import (
     RECEIVE_OVERHEAD_S,
@@ -25,17 +18,12 @@ from repro.pool.runtime import (
 from repro.pool.sanitizer import first_divergence, snapshot
 
 __all__ = [
-    "DiskNodes",
-    "LeastLoaded",
-    "MostFreeMemory",
-    "Pinned",
-    "PlacementPolicy",
     "PoolProcess",
     "PoolRuntime",
     "RECEIVE_OVERHEAD_S",
-    "RoundRobin",
     "RuntimeStats",
     "SEND_OVERHEAD_S",
     "first_divergence",
+    "least_loaded",
     "snapshot",
 ]

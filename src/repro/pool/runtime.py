@@ -21,7 +21,7 @@ from repro.machine.events import EventLoop
 from repro.machine.machine import Machine
 from repro.obs.api import SnapshotMixin
 from repro.obs.tracer import Tracer, active
-from repro.pool.placement import PlacementPolicy, RoundRobin
+from repro.pool.placement import least_loaded
 from repro.pool.process import PoolProcess
 from repro.pool.sanitizer import first_divergence, snapshot
 
@@ -109,7 +109,6 @@ class PoolRuntime:
         #: recovery) that call :func:`repro.obs.tracer.active` on it.
         self.tracer = tracer
         self._tracer = active(tracer)
-        self._default_placement = RoundRobin()
         self._processes: dict[str, PoolProcess] = {}
         self._name_counter = 0
 
@@ -120,22 +119,19 @@ class PoolRuntime:
         process_class: type[P] = PoolProcess,
         name: str | None = None,
         node: int | None = None,
-        placement: PlacementPolicy | None = None,
         start_at: float = 0.0,
         **kwargs: Any,
     ) -> P:
         """Create a process and allocate it to a processing element.
 
         Either pin it with *node* (explicit allocation, as POOL-X allows)
-        or let a :class:`PlacementPolicy` choose.  Creation costs
+        or leave *node* out to take the least-loaded live element
+        (:func:`~repro.pool.placement.least_loaded`).  Creation costs
         ``cpu_start_cost_s`` on the hosting element and the process's
         clock starts no earlier than *start_at*.
         """
-        if node is not None and placement is not None:
-            raise MachineError("pass either node or placement, not both")
         if node is None:
-            policy = placement or self._default_placement
-            node = policy.choose(self.machine)
+            node = least_loaded(self.machine)
         if not 0 <= node < self.machine.n_nodes:
             raise MachineError(f"no such processing element: {node}")
         if name is None:
@@ -175,9 +171,10 @@ class PoolRuntime:
     def crash_node(self, node_id: int) -> list[str]:
         """Kill every live process placed on one element; returns names.
 
-        The machine-level element failure (routing) is the caller's
-        responsibility (:meth:`~repro.machine.machine.Machine.fail_node`
-        — usually driven through a fault injector).
+        Only the process half of an element crash: the database's one
+        crash path, :meth:`FaultInjector.crash_element
+        <repro.core.faults.FaultInjector.crash_element>`, also takes the
+        element down on the machine and repairs the GDH's state.
         """
         victims = sorted(
             name

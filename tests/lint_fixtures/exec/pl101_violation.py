@@ -21,7 +21,13 @@ def batch_filter(rows, value):
 
 
 class BatchView:
-    # Not the ColumnBatch container: an arbitrary class looping over
-    # rows without a meter still pays.
+    # An arbitrary class looping over rows without a meter still pays.
     def widths(self, rows):
         return [len(row) for row in rows]
+
+
+class ColumnBatch:
+    # No class name buys an exemption: a per-row loop here is unmetered
+    # work like any other.
+    def columns(self, rows, width):
+        return [[row[i] for row in rows] for i in range(width)]

@@ -1,4 +1,5 @@
-"""Fault injection: crash points, element/link failures, recovery.
+"""Fault injection: crash points, element/link failures, scopes,
+placement under outage, recovery.
 
 The crash matrix is the heart of this suite: every named crash point of
 the commit/abort protocol, on the 1PC path, the multi-participant 2PC
@@ -13,10 +14,13 @@ and that two same-seed runs produce bit-identical fault/recovery
 fingerprints (the determinism contract the CI gate enforces).
 """
 
+import contextlib
+
 import pytest
 
 from repro import MachineConfig, PrismaDB
 from repro.errors import (
+    AllocationError,
     InjectedCrash,
     LinkDownError,
     PrismaError,
@@ -32,6 +36,7 @@ from repro.core.faults import (
     FaultInjector,
 )
 from repro.core.locks import WouldBlock
+from repro.core.transactions import TxnState
 
 CONFIG = MachineConfig(n_nodes=4, disk_nodes=(0, 2), topology="ring")
 
@@ -340,7 +345,7 @@ class TestElementCrash:
             db.execute(f"INSERT INTO t VALUES ({key}, {key * 10})")
         before = table_contents(db)
         node = node_of_primary(db)
-        report = db.crash_element(node)
+        report = db.faults.crash_element(node)
         assert report.kind == "element"
         assert report.fragments_lost >= 1
         assert report.processes_killed
@@ -352,7 +357,7 @@ class TestElementCrash:
         for key in range(10):
             db.execute(f"INSERT INTO t VALUES ({key}, 0)")
         node = node_of_primary(db)
-        db.crash_element(node)
+        db.faults.crash_element(node)
         # Writes during the outage land on the surviving copies only.
         for key in range(10, 20):
             db.execute(f"INSERT INTO t VALUES ({key}, 1)")
@@ -382,7 +387,7 @@ class TestElementCrash:
         key = key_in_fragment(db, 0, start=0)
         session.execute(f"UPDATE t SET v = 99 WHERE k = {key}")
         node = node_of_primary(db)
-        report = db.crash_element(node)
+        report = db.faults.crash_element(node)
         assert report.aborted_transactions
         assert (key, 99) not in table_contents(db)
         # The session's txn is gone; COMMIT now fails cleanly.
@@ -396,7 +401,7 @@ class TestElementCrash:
         info = db.catalog.table("t")
         victim_fragment = info.scheme.fragment_of((keys[0], 0))
         node = info.fragments[victim_fragment].node_id
-        db.crash_element(node)
+        db.faults.crash_element(node)
         with pytest.raises(PrismaError):
             db.execute(
                 f"INSERT INTO t VALUES ({key_in_fragment(db, victim_fragment)}, 2)"
@@ -415,7 +420,7 @@ class TestElementCrash:
         info = db.catalog.table("t")
         victim_fragment = info.scheme.fragment_of((keys[0], 0))
         node = info.fragments[victim_fragment].node_id
-        db.crash_element(node)
+        db.faults.crash_element(node)
         report = db.restart_element(node)
         assert report.fragments_recovered >= 1
         assert report.replica_catchups == 0  # nothing to catch up from
@@ -426,7 +431,7 @@ class TestElementCrash:
     def test_cannot_crash_supervisor_element(self):
         db = make_db()
         with pytest.raises(RecoveryError):
-            db.crash_element(0)
+            db.faults.crash_element(0)
 
     def test_send_to_dead_process_raises(self):
         db = make_replicated_db()
@@ -437,7 +442,7 @@ class TestElementCrash:
             for ofm in list(db.gdh.fragment_ofms.values())
             if ofm.node_id == node
         ]
-        db.crash_element(node)
+        db.faults.crash_element(node)
         assert victims and all(not ofm.alive for ofm in victims)
         with pytest.raises(ProcessCrashed):
             db.runtime.send(db.gdh.gdh_process, victims[0], 64)
@@ -451,11 +456,11 @@ class TestLinkFailures:
         before = table_contents(db)
         machine = db.machine
         neighbor = machine.topology.neighbors(0)[0]
-        db.fail_link(0, neighbor)
+        db.faults.fail_link(0, neighbor)
         # Ring of 4: the other direction still connects everything.
         assert machine.reachable(0, neighbor)
         assert table_contents(db) == before
-        db.restore_link(0, neighbor)
+        db.faults.restore_link(0, neighbor)
 
     def test_partition_surfaces_as_error_and_heals(self):
         db = make_db()
@@ -466,12 +471,12 @@ class TestLinkFailures:
         machine = db.machine
         # Cut node 2 (a fragment host on the 4-ring) off entirely.
         for neighbor in machine.topology.neighbors(2):
-            db.fail_link(2, neighbor)
+            db.faults.fail_link(2, neighbor)
         assert not machine.reachable(0, 2)
         with pytest.raises((PrismaError, LinkDownError)):
             db.query("SELECT k, v FROM t")
         for neighbor in machine.topology.neighbors(2):
-            db.restore_link(2, neighbor)
+            db.faults.restore_link(2, neighbor)
         assert table_contents(db) == before
 
     def test_scheduled_fault_fires_on_event_loop(self):
@@ -483,6 +488,204 @@ class TestLinkFailures:
         db.runtime.run(until=at + 1.0)
         assert not db.machine.node_is_up(node)
         assert any(entry[0] == "crash_element" for entry in db.faults.injections)
+
+
+# ---------------------------------------------------------------------------
+# One crash path: every injector entry point is the same element crash.
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def crashed_directly(db: PrismaDB, node: int):
+    db.faults.crash_element(node)
+    yield
+
+
+@contextlib.contextmanager
+def crashed_in_scope(db: PrismaDB, node: int):
+    with db.faults.scope(nodes=[node]):
+        yield
+
+
+@contextlib.contextmanager
+def crashed_on_schedule(db: PrismaDB, node: int):
+    at = db.simulated_time() + 1.0
+    db.faults.schedule(at, "crash_element", node)
+    db.runtime.run(until=at + 1.0)
+    yield
+
+
+CRASH_PATHS = {
+    "crash_element": crashed_directly,
+    "scope": crashed_in_scope,
+    "schedule": crashed_on_schedule,
+}
+
+
+class TestSingleCrashPath:
+    @pytest.mark.parametrize("path", sorted(CRASH_PATHS))
+    def test_every_entry_point_gives_the_same_crash(self, path):
+        db = PrismaDB(MachineConfig(n_nodes=12, disk_nodes=(0, 6)))
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 3 WITH 2 REPLICAS"
+        )
+        for key in range(12):
+            db.execute(f"INSERT INTO t VALUES ({key}, 0)")
+        session = db.session()
+        session.execute("BEGIN")
+        session.execute("UPDATE t SET v = v + 1")
+        orphan = session._state.txn
+        victim = db.catalog.table("t").fragments[0].node_id
+        with CRASH_PATHS[path](db, victim):
+            # The orphaned update released its locks: no WouldBlock.
+            assert db.query("SELECT SUM(v), COUNT(*) FROM t") == [(0, 12)]
+            assert all(ofm.alive for ofm in db.gdh.fragment_ofms.values())
+            assert all(
+                ofm.node_id != victim for ofm in db.gdh.fragment_ofms.values()
+            )
+            assert orphan.state is TxnState.ABORTED
+            assert orphan.txn_id not in db.gdh.txns.active
+
+    @pytest.mark.parametrize("path", sorted(CRASH_PATHS))
+    def test_supervisor_element_refused_on_every_entry_point(self, path):
+        db = make_replicated_db()
+        db.execute("INSERT INTO t VALUES (1, 1)")
+        with pytest.raises(RecoveryError):
+            with CRASH_PATHS[path](db, 0):
+                pass
+        assert db.machine.node_is_up(0)
+        assert table_contents(db) == {(1, 1)}
+
+
+# ---------------------------------------------------------------------------
+# Scoped faults: db.faults.scope.
+# ---------------------------------------------------------------------------
+
+
+def make_ring_db(n_nodes: int = 8) -> PrismaDB:
+    return PrismaDB(
+        MachineConfig(n_nodes=n_nodes, disk_nodes=(0,), topology="ring")
+    )
+
+
+class TestFaultFacade:
+    def test_scope_restores_on_exception(self):
+        db = make_ring_db()
+        machine = db.machine
+        with pytest.raises(RuntimeError):
+            with db.faults.scope(nodes=[3], links=[(0, 1)]):
+                assert not machine.node_is_up(3)
+                assert not machine.link_is_up(0, 1)
+                assert not machine.link_is_up(1, 0)
+                raise RuntimeError("boom")
+        assert machine.node_is_up(3)
+        assert machine.link_is_up(0, 1)
+        assert not machine.has_faults
+
+    def test_scope_leaves_preexisting_faults_alone(self):
+        db = make_ring_db()
+        machine = db.machine
+        db.faults.crash_element(2)
+        with db.faults.scope(nodes=[2, 5]):
+            assert not machine.node_is_up(5)
+        assert not machine.node_is_up(2)  # was down on entry, stays down
+        assert machine.node_is_up(5)
+
+    def test_scope_leaves_preexisting_link_fault_alone(self):
+        db = make_ring_db()
+        machine = db.machine
+        db.faults.fail_link(0, 1)
+        with db.faults.scope(links=[(1, 0), (4, 5)]):
+            assert not machine.link_is_up(4, 5)
+        assert not machine.link_is_up(0, 1)  # was down on entry, stays down
+        assert machine.link_is_up(4, 5)
+
+    def test_scope_restores_in_reverse_order(self):
+        db = make_ring_db()
+        with db.faults.scope(nodes=[3, 5], links=[(0, 1), (6, 7)]):
+            pass
+        restores = [
+            entry for entry in db.faults.injections if entry[0].startswith("restore")
+        ]
+        assert restores == [
+            ("restore_link", "6", "7"),
+            ("restore_link", "0", "1"),
+            ("restore_element", "5"),
+            ("restore_element", "3"),
+        ]
+        assert db.faults.injections[-4:] == restores
+
+    def test_injector_scope_crashes_processes_and_logs(self):
+        db = PrismaDB(
+            MachineConfig(n_nodes=12, disk_nodes=(0, 6)), faults=FaultInjector(3)
+        )
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 3 WITH 2 REPLICAS"
+        )
+        db.bulk_load("t", [(i, i * 7) for i in range(60)])
+        victim = db.catalog.table("t").fragments[0].node_id
+        expected = sorted(db.query("SELECT id, v FROM t"))
+        with db.faults.scope(nodes=[victim]):
+            assert not db.machine.node_is_up(victim)
+        assert db.machine.node_is_up(victim)
+        entries = [
+            entry for entry in db.faults.injections if entry[0] == "crash_element"
+        ]
+        assert entries, "scope did not land in the injection log"
+        assert len(entries[0]) > 2, "scope killed no resident process"
+        # Replicas keep the data readable after the scoped outage.
+        assert sorted(db.query("SELECT id, v FROM t")) == expected
+
+
+# ---------------------------------------------------------------------------
+# Placement under outage: no copy lands on a down element.
+# ---------------------------------------------------------------------------
+
+
+class TestPlacementUnderOutage:
+    def test_fragments_avoid_down_element(self):
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+        db.faults.crash_element(3)
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 7"
+        )
+        nodes = [fragment.node_id for fragment in db.catalog.table("t").fragments]
+        assert 3 not in nodes
+        assert len(set(nodes)) == 7
+        for key in range(20):
+            db.execute(f"INSERT INTO t VALUES ({key}, {key})")
+        assert db.query("SELECT COUNT(*) FROM t") == [(20,)]
+
+    def test_replicas_avoid_down_element(self):
+        db = PrismaDB(MachineConfig(n_nodes=8, disk_nodes=(0,)))
+        db.faults.crash_element(2)
+        db.execute(
+            "CREATE TABLE r (id INT PRIMARY KEY, v INT)"
+            " FRAGMENTED BY HASH(id) INTO 2 WITH 3 REPLICAS"
+        )
+        for fragment in db.catalog.table("r").fragments:
+            nodes = [node for node, _name in fragment.all_copies()]
+            assert 2 not in nodes
+            assert len(set(nodes)) == 3
+
+    def test_migration_target_keeps_live_reserve_element(self):
+        """Down elements leave the candidate set before the reserve rule
+        runs, so the GDH's element is offered when it is the only live
+        choice."""
+        db = PrismaDB(MachineConfig(n_nodes=3, disk_nodes=(0,), topology="ring"))
+        db.faults.crash_element(2)
+        assert db.gdh.allocator.migration_target({1}) == 0
+        db.faults.restore_element(2)
+        assert db.gdh.allocator.migration_target({1}) == 2
+
+    def test_every_element_down_is_an_allocation_error(self):
+        db = PrismaDB(MachineConfig(n_nodes=3, disk_nodes=(0,), topology="ring"))
+        db.faults.crash_element(2)
+        with pytest.raises(AllocationError):
+            db.gdh.allocator.migration_target({0, 1})
 
 
 class TestPartitionDuringCommit:
@@ -514,7 +717,7 @@ class TestPartitionDuringCommit:
         assert len(participants) == 4
         node = participants[-1].node_id
         cut = [(node, neighbor) for neighbor in db.machine.topology.neighbors(node)]
-        with db.machine.faults(links=cut):
+        with db.faults.scope(links=cut):
             with pytest.raises(TransactionAborted):
                 session.execute("COMMIT")
         # Healed: the aborted update is invisible and holds no locks.
@@ -532,7 +735,7 @@ class TestDeterminism:
             for key in range(12):
                 db.execute(f"INSERT INTO t VALUES ({key}, {key})")
             node = node_of_primary(db)
-            crash = db.crash_element(node)
+            crash = db.faults.crash_element(node)
             db.execute("INSERT INTO t VALUES (100, 100)")
             recovery = db.restart_element(node)
             return (
@@ -547,5 +750,5 @@ class TestDeterminism:
     def test_fingerprint_sensitive_to_injections(self):
         db = make_replicated_db()
         clean = db.faults.fingerprint()
-        db.crash_element(node_of_primary(db))
+        db.faults.crash_element(node_of_primary(db))
         assert db.faults.fingerprint() != clean

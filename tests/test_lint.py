@@ -19,7 +19,7 @@ CASES = {
     "PL004": ("pool/pl004_clean.py", "pool/pl004_violation.py", 1),
     "PL005": ("pl005_clean.py", "pl005_violation.py", 2),
     "PL006": ("obs/pl006_clean.py", "obs/pl006_violation.py", 2),
-    "PL101": ("exec/pl101_clean.py", "exec/pl101_violation.py", 5),
+    "PL101": ("exec/pl101_clean.py", "exec/pl101_violation.py", 6),
     "PL102": ("pl102_clean.py", "pl102_violation.py", 3),
     "PL103": ("pl103_clean.py", "pl103_violation.py", 3),
     "PL104": ("pl104_clean.py", "pl104_violation.py", 3),

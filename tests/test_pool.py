@@ -3,16 +3,7 @@
 import pytest
 
 from repro.errors import AllocationError, MachineError
-from repro.machine import Machine, MachineConfig, small_machine
-from repro.pool import (
-    DiskNodes,
-    LeastLoaded,
-    MostFreeMemory,
-    Pinned,
-    PoolProcess,
-    PoolRuntime,
-    RoundRobin,
-)
+from repro.pool import PoolProcess, least_loaded
 
 
 class TestSpawn:
@@ -39,10 +30,6 @@ class TestSpawn:
         with pytest.raises(MachineError):
             runtime4.spawn(PoolProcess, name="ofm-a", node=1)
 
-    def test_node_and_placement_mutually_exclusive(self, runtime4):
-        with pytest.raises(MachineError):
-            runtime4.spawn(PoolProcess, node=1, placement=RoundRobin())
-
     def test_terminate_frees_name(self, runtime4):
         process = runtime4.spawn(PoolProcess, name="temp", node=0)
         runtime4.terminate(process)
@@ -58,47 +45,21 @@ class TestSpawn:
 
 
 class TestPlacement:
-    def test_round_robin_cycles(self, machine4):
-        policy = RoundRobin()
-        picks = [policy.choose(machine4) for _ in range(6)]
-        assert picks == [0, 1, 2, 3, 0, 1]
-
-    def test_round_robin_subset(self, machine4):
-        policy = RoundRobin(nodes=[1, 3])
-        assert [policy.choose(machine4) for _ in range(4)] == [1, 3, 1, 3]
-
-    def test_round_robin_empty_subset_raises(self, machine4):
-        with pytest.raises(AllocationError):
-            RoundRobin(nodes=[]).choose(machine4)
-
     def test_least_loaded_prefers_idle_node(self, machine4):
         machine4.node(0).charge(10.0)
         machine4.node(1).charge(5.0)
-        assert LeastLoaded().choose(machine4) == 2
+        assert least_loaded(machine4) == 2
 
-    def test_most_free_memory(self, machine4):
-        machine4.node(0).memory.allocate(1000, "x")
-        chosen = MostFreeMemory().choose(machine4)
-        assert chosen != 0
-
-    def test_most_free_memory_spreads(self, machine4):
-        picks = MostFreeMemory().choose_many(machine4, 4)
-        assert sorted(picks) == [0, 1, 2, 3]
-
-    def test_pinned_validates_range(self, machine4):
-        assert Pinned(3).choose(machine4) == 3
+    def test_least_loaded_skips_down_elements(self, machine4):
+        machine4.node(1).charge(5.0)
+        machine4.fail_node(0)
+        assert least_loaded(machine4) == 2
+        machine4.fail_node(2)
+        machine4.fail_node(3)
+        assert least_loaded(machine4) == 1
+        machine4.fail_node(1)
         with pytest.raises(AllocationError):
-            Pinned(12).choose(machine4)
-
-    def test_disk_nodes_policy(self):
-        machine = Machine(MachineConfig(n_nodes=8, disk_nodes=(2, 5)))
-        policy = DiskNodes()
-        assert [policy.choose(machine) for _ in range(3)] == [2, 5, 2]
-
-    def test_disk_nodes_requires_disks(self, ):
-        machine = Machine(MachineConfig(n_nodes=4))
-        with pytest.raises(AllocationError):
-            DiskNodes().choose(machine)
+            least_loaded(machine4)
 
 
 class TestTimelineMessaging:

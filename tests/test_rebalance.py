@@ -1,6 +1,6 @@
 """Online re-fragmentation (ISSUE 10): scheme editing, the three-phase
-migrate/split/merge protocol, replica-aware read routing, the fault
-facade, and the shared benchmark CLI builder."""
+migrate/split/merge protocol, replica-aware read routing, and the shared
+benchmark CLI builder."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from repro import MachineConfig, PrismaDB
-from repro.core.faults import FaultInjector
 from repro.core.fragmentation import (
     FragmentationScheme,
     HashFragmentation,
@@ -18,7 +17,6 @@ from repro.core.fragmentation import (
 )
 from repro.core.rebalance import RebalancedFragmentation, Rebalancer
 from repro.errors import RebalanceError
-from repro.machine.machine import Machine
 from repro.serve import install_serving
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -166,7 +164,7 @@ class TestMigrate:
         expected = sorted(db.query("SELECT id, v FROM t"))
         fragment = db.catalog.table("t").fragments[0]
         victim = fragment.node_id
-        db.crash_element(victim)
+        db.faults.crash_element(victim)
         action = db.rebalancer.migrate_fragment("t", 0)
         assert action is not None
         assert fragment.node_id != victim
@@ -306,7 +304,7 @@ class TestNearestRouting:
         db.gdh.executor.read_routing = "nearest"
         expected = sorted(db.query("SELECT id, v FROM t"))
         victim = db.catalog.table("t").fragments[0].node_id
-        db.crash_element(victim)
+        db.faults.crash_element(victim)
         assert sorted(db.query("SELECT id, v FROM t")) == expected
         info = db.catalog.table("t")
         picked = list(db.gdh.executor._scan_copies(info, None))
@@ -324,50 +322,6 @@ class TestNearestRouting:
                 for _node, name in fragment.all_copies()
             ]
             assert choice is min(live, key=lambda c: (c.ready_at, c.name))
-
-
-# ---------------------------------------------------------------------------
-# The fault facade: Machine.faults / FaultInjector.scope.
-# ---------------------------------------------------------------------------
-
-
-class TestFaultFacade:
-    def test_scope_restores_on_exception(self):
-        machine = Machine(MachineConfig(n_nodes=8, topology="ring"))
-        with pytest.raises(RuntimeError):
-            with machine.faults(nodes=[3], links=[(0, 1)]):
-                assert not machine.node_is_up(3)
-                assert machine.fault_board.active() == {
-                    "nodes": [3],
-                    "links": [(0, 1)],
-                }
-                raise RuntimeError("boom")
-        assert machine.node_is_up(3)
-        assert machine.fault_board.active() == {"nodes": [], "links": []}
-
-    def test_scope_leaves_preexisting_faults_alone(self):
-        machine = Machine(MachineConfig(n_nodes=8, topology="ring"))
-        machine.fail_node(2)
-        with machine.faults(nodes=[2, 5]):
-            assert not machine.node_is_up(5)
-        assert not machine.node_is_up(2)  # was down on entry, stays down
-        assert machine.node_is_up(5)
-
-    def test_injector_scope_crashes_processes_and_logs(self):
-        db = make_db(replicas=2)
-        faults = FaultInjector(seed=3)
-        faults.bind(db.gdh.runtime)
-        victim = db.catalog.table("t").fragments[0].node_id
-        expected = sorted(db.query("SELECT id, v FROM t"))
-        with faults.scope(nodes=[victim]):
-            assert not db.machine.node_is_up(victim)
-        assert db.machine.node_is_up(victim)
-        entries = [
-            entry for entry in faults.injections if entry[0] == "crash_element"
-        ]
-        assert entries, "scope did not land in the injection log"
-        # Replicas keep the data readable after the scoped outage.
-        assert sorted(db.query("SELECT id, v FROM t")) == expected
 
 
 # ---------------------------------------------------------------------------
